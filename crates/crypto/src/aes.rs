@@ -1,12 +1,27 @@
 //! AES-128 block cipher (FIPS-197), implemented from scratch.
 //!
-//! This is a straightforward table-based software implementation. It is the
-//! *functional* counterpart of the hardware engine modelled in
+//! This is the *functional* counterpart of the hardware engine modelled in
 //! [`engine`](crate::EngineSpec): `seal-gpusim` uses the engine's
 //! latency/throughput numbers, while `emalloc`-tagged regions in `seal-core`
-//! use this cipher for real byte-level encryption.
+//! and the CTR/direct memory-encryption modes use this cipher for real
+//! byte-level encryption.
 //!
-//! Not constant-time; do not use outside simulation.
+//! Three encryption bodies compute the same function:
+//!
+//! * **AES-NI** (`aesenc`/`aesenclast`, eight blocks interleaved) behind
+//!   [`Aes128::encrypt_blocks`], selected once per process by CPUID on
+//!   `x86_64` hosts that report `aes`. Constant-time: the hardware rounds
+//!   do no key- or data-dependent memory access.
+//! * **T-tables** ([`Aes128::encrypt_block`]), the portable fallback that
+//!   `encrypt_blocks` loops over when AES-NI is absent. *Not*
+//!   constant-time: its table lookups are indexed by key-dependent state,
+//!   so cache timing can leak the key. Do not use it outside simulation.
+//! * **Byte-wise reference rounds**
+//!   ([`Aes128::encrypt_block_reference`]), the textbook transcription the
+//!   two fast bodies are differentially tested against.
+//!
+//! Decryption runs the byte-wise inverse rounds; their S-box lookups are
+//! not constant-time either. CTR mode never needs them.
 
 use crate::Key128;
 
@@ -104,13 +119,27 @@ fn t_tables() -> &'static [[u32; 256]; 4] {
     })
 }
 
+/// Whether the host offers AES-NI, asked of CPUID once and cached.
+#[cfg(target_arch = "x86_64")]
+fn has_aes_ni() -> bool {
+    use std::sync::OnceLock;
+    static AES_NI: OnceLock<bool> = OnceLock::new();
+    *AES_NI.get_or_init(|| std::arch::is_x86_feature_detected!("aes"))
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn has_aes_ni() -> bool {
+    false
+}
+
 /// An expanded AES-128 key schedule ready to encrypt/decrypt 16-byte blocks.
 ///
-/// Encryption uses the T-table formulation (≈10× faster than the
+/// Single blocks go through the T-table formulation (≈10× faster than the
 /// byte-wise rounds, which remain available as
 /// [`encrypt_block_reference`](Aes128::encrypt_block_reference) and are
-/// differentially tested against it); decryption uses the straightforward
-/// inverse rounds.
+/// differentially tested against it). Runs of blocks go through
+/// [`encrypt_blocks`](Aes128::encrypt_blocks), which uses AES-NI where the
+/// host has it. Decryption uses the straightforward inverse rounds.
 ///
 /// ```
 /// use seal_crypto::{Aes128, Key128};
@@ -208,6 +237,50 @@ impl Aes128 {
         out
     }
 
+    /// Name of the body [`encrypt_blocks`](Self::encrypt_blocks) runs on
+    /// this host: `"AES-NI"` or `"T-table"`.
+    pub fn backend_name() -> &'static str {
+        if has_aes_ni() {
+            "AES-NI"
+        } else {
+            "T-table"
+        }
+    }
+
+    /// Encrypts every block of `blocks` in place.
+    ///
+    /// Runs AES-NI with eight blocks in flight when CPUID reports `aes`
+    /// (probed once per process) and the T-table rounds otherwise; both
+    /// give exactly [`encrypt_block`](Self::encrypt_block)'s output.
+    ///
+    /// ```
+    /// use seal_crypto::{Aes128, Key128};
+    ///
+    /// let aes = Aes128::new(&Key128::from_seed(4));
+    /// let mut blocks = [[1u8; 16], [2u8; 16], [3u8; 16]];
+    /// let want = blocks.map(|b| aes.encrypt_block(&b));
+    /// aes.encrypt_blocks(&mut blocks);
+    /// assert_eq!(blocks, want);
+    /// ```
+    pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        #[cfg(target_arch = "x86_64")]
+        if has_aes_ni() {
+            // SAFETY: `has_aes_ni` is the cached CPUID probe for `aes`;
+            // it returned true, so the `target_feature(aes)` body only
+            // issues instructions this host implements.
+            unsafe { encrypt_blocks_aesni(&self.round_keys, blocks) };
+            return;
+        }
+        self.encrypt_blocks_ttable(blocks);
+    }
+
+    /// The portable body of [`encrypt_blocks`](Self::encrypt_blocks).
+    fn encrypt_blocks_ttable(&self, blocks: &mut [[u8; 16]]) {
+        for block in blocks {
+            *block = self.encrypt_block(block);
+        }
+    }
+
     /// Encrypts one block with the textbook byte-wise rounds — the
     /// reference the fast path is differentially tested against.
     pub fn encrypt_block_reference(&self, block: &[u8; 16]) -> [u8; 16] {
@@ -239,6 +312,63 @@ impl Aes128 {
         }
         add_round_key(&mut s, &self.round_keys[0]);
         s
+    }
+}
+
+/// Blocks kept in flight by the AES-NI body: `aesenc` has a latency of
+/// several cycles but issues every cycle, so independent blocks fill the
+/// pipeline.
+#[cfg(target_arch = "x86_64")]
+const AESNI_LANES: usize = 8;
+
+/// AES-NI body of [`Aes128::encrypt_blocks`]: [`AESNI_LANES`] blocks per
+/// round-key sweep, then the remainder one at a time.
+///
+/// AES-NI keeps the state in FIPS-197 byte order, so the byte round keys
+/// load as they are.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "aes")]
+fn encrypt_blocks_aesni(round_keys: &[[u8; 16]; NUM_ROUNDS + 1], blocks: &mut [[u8; 16]]) {
+    use std::arch::x86_64::{
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_setzero_si128,
+        _mm_storeu_si128, _mm_xor_si128,
+    };
+    let load = |b: &[u8; 16]| {
+        // SAFETY: `b` is a `[u8; 16]`, exactly the 16 bytes one
+        // unaligned `loadu` reads.
+        unsafe { _mm_loadu_si128(b.as_ptr().cast::<__m128i>()) }
+    };
+    let store = |b: &mut [u8; 16], v: __m128i| {
+        // SAFETY: `b` is a `[u8; 16]`, exactly the 16 bytes one
+        // unaligned `storeu` writes.
+        unsafe { _mm_storeu_si128(b.as_mut_ptr().cast::<__m128i>(), v) }
+    };
+    let mut rk = [_mm_setzero_si128(); NUM_ROUNDS + 1];
+    for (k, bytes) in rk.iter_mut().zip(round_keys) {
+        *k = load(bytes);
+    }
+    let [first, middle @ .., last] = rk;
+    let mut wide = blocks.chunks_exact_mut(AESNI_LANES);
+    for lanes in &mut wide {
+        let mut s = [_mm_setzero_si128(); AESNI_LANES];
+        for (v, b) in s.iter_mut().zip(lanes.iter()) {
+            *v = _mm_xor_si128(load(b), first);
+        }
+        for k in middle {
+            for v in &mut s {
+                *v = _mm_aesenc_si128(*v, k);
+            }
+        }
+        for (b, v) in lanes.iter_mut().zip(s) {
+            store(b, _mm_aesenclast_si128(v, last));
+        }
+    }
+    for b in wide.into_remainder() {
+        let mut v = _mm_xor_si128(load(b), first);
+        for k in middle {
+            v = _mm_aesenc_si128(v, k);
+        }
+        store(b, _mm_aesenclast_si128(v, last));
     }
 }
 
@@ -359,6 +489,44 @@ mod tests {
                     aes.encrypt_block_reference(&block),
                     "differential failure for key {key_seed}"
                 );
+            }
+        }
+    }
+
+    /// The AES-NI body, the T-table loop and the byte-wise reference agree
+    /// on random keys, for batches covering the 8-wide body, its
+    /// remainder and both together.
+    #[test]
+    fn batch_bodies_match_reference_rounds() {
+        use seal_tensor::rng::{Rng, SeedableRng};
+        let mut rng = seal_tensor::rng::rngs::StdRng::seed_from_u64(0xAE5);
+        for _ in 0..16 {
+            let aes = Aes128::new(&Key128::from_seed(rng.gen()));
+            for len in [0usize, 1, 7, 8, 9, 16, 17] {
+                let mut input = vec![[0u8; 16]; len];
+                for b in &mut input {
+                    rng.fill(b);
+                }
+                let want: Vec<[u8; 16]> = input
+                    .iter()
+                    .map(|b| aes.encrypt_block_reference(b))
+                    .collect();
+
+                let mut ttable = input.clone();
+                aes.encrypt_blocks_ttable(&mut ttable);
+                assert_eq!(ttable, want, "T-table, len {len}");
+
+                let mut dispatched = input.clone();
+                aes.encrypt_blocks(&mut dispatched);
+                assert_eq!(dispatched, want, "encrypt_blocks, len {len}");
+
+                #[cfg(target_arch = "x86_64")]
+                if has_aes_ni() {
+                    let mut ni = input.clone();
+                    // SAFETY: guarded by the cached CPUID probe `has_aes_ni`.
+                    unsafe { encrypt_blocks_aesni(&aes.round_keys, &mut ni) };
+                    assert_eq!(ni, want, "AES-NI, len {len}");
+                }
             }
         }
     }

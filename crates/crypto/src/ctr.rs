@@ -9,13 +9,40 @@
 //!
 //! The pad seed is `(address, counter)`, so re-encrypting a line after a
 //! write bumps its counter to keep the pad single-use.
+//!
+//! Pads are built a tile of [`TILE_BLOCKS`] seeds at a time and encrypted
+//! with one [`Aes128::encrypt_blocks`] call, the software analogue of a
+//! pipelined engine with many blocks in flight.
 
 use std::collections::HashMap;
 
 use crate::mac::{first_bad_block, tag_buffer};
 use crate::{Aes128, CryptoError, TaggedCiphertext, BLOCK_BYTES};
 
+/// Blocks encrypted per [`Aes128::encrypt_blocks`] call by the batched
+/// CTR and MAC paths: 1 KiB of seeds on the stack.
+pub(crate) const TILE_BLOCKS: usize = 64;
+
+/// `dst ^= src` over `src`'s length (at most one block), 16 bytes at a
+/// time when `src` is a whole block.
+#[inline]
+pub(crate) fn xor_in(dst: &mut [u8; BLOCK_BYTES], src: &[u8]) {
+    match <&[u8; BLOCK_BYTES]>::try_from(src) {
+        Ok(s) => *dst = (u128::from_ne_bytes(*dst) ^ u128::from_ne_bytes(*s)).to_ne_bytes(),
+        Err(_) => {
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d ^= s;
+            }
+        }
+    }
+}
+
 /// Counter-mode cipher with per-line write counters.
+///
+/// A line holds at most [`MAX_LINE_BLOCKS`](Self::MAX_LINE_BLOCKS) blocks
+/// (16 MiB): block `i` of a line at write counter `c` uses pad seed
+/// `c·2^20 + i`, so block `2^20` would reuse the pad of block 0 at counter
+/// `c + 1`. Encrypt longer buffers as several lines at distinct addresses.
 ///
 /// ```
 /// use seal_crypto::{Aes128, CtrCipher, Key128};
@@ -35,6 +62,12 @@ pub struct CtrCipher {
 }
 
 impl CtrCipher {
+    /// Most blocks one line may hold before its pads collide with the
+    /// next counter epoch's (see the type docs).
+    pub const MAX_LINE_BLOCKS: usize = 1 << 20;
+    /// [`MAX_LINE_BLOCKS`](Self::MAX_LINE_BLOCKS) in bytes: 16 MiB.
+    pub const MAX_LINE_BYTES: usize = Self::MAX_LINE_BLOCKS * BLOCK_BYTES;
+
     /// Creates a counter-mode cipher with the given epoch nonce.
     pub fn new(aes: Aes128, nonce: u64) -> Self {
         CtrCipher {
@@ -109,16 +142,25 @@ impl CtrCipher {
         Ok(self.xor_pad(addr, self.counter(addr), &ct.bytes))
     }
 
+    /// XORs `data` with the line's pad, one tile of seeds per batched
+    /// AES call. Lines longer than [`MAX_LINE_BLOCKS`](Self::MAX_LINE_BLOCKS)
+    /// wrap into the next counter's seeds (see the type docs).
     fn xor_pad(&self, addr: u64, ctr: u64, data: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(data.len());
-        for (i, chunk) in data.chunks(BLOCK_BYTES).enumerate() {
-            let mut seed = [0u8; BLOCK_BYTES];
-            seed[..8].copy_from_slice(&(self.nonce ^ addr).to_le_bytes());
-            seed[8..].copy_from_slice(&(ctr.wrapping_mul(1 << 20) + i as u64).to_le_bytes());
-            let pad = self.aes.encrypt_block(&seed);
-            for (b, p) in chunk.iter().zip(pad.iter()) {
-                out.push(b ^ p);
+        let line = u128::from(self.nonce ^ addr);
+        let mut seed = ctr.wrapping_mul(Self::MAX_LINE_BLOCKS as u64);
+        let mut pads = [[0u8; BLOCK_BYTES]; TILE_BLOCKS];
+        for src in data.chunks(TILE_BLOCKS * BLOCK_BYTES) {
+            let pads = &mut pads[..src.len().div_ceil(BLOCK_BYTES)];
+            for pad in pads.iter_mut() {
+                *pad = (line | u128::from(seed) << 64).to_le_bytes();
+                seed = seed.wrapping_add(1);
             }
+            self.aes.encrypt_blocks(pads);
+            for (pad, s) in pads.iter_mut().zip(src.chunks(BLOCK_BYTES)) {
+                xor_in(pad, s);
+            }
+            out.extend_from_slice(&pads.as_flattened()[..src.len()]);
         }
         out
     }
@@ -213,6 +255,71 @@ mod tests {
         // set_counter(_, 0) is equivalent to "never written".
         c.set_counter(0x500, 0);
         assert_eq!(c.counter(0x500), 0);
+    }
+
+    /// The batched pad equals the one-block-at-a-time construction
+    /// `AES_k(nonce ^ addr ‖ ctr·2^20 + i)` across tile boundaries.
+    #[test]
+    fn batched_pad_matches_per_block_seeds() {
+        let mut c = cipher();
+        c.set_counter(0x600, 5);
+        let tile = TILE_BLOCKS * BLOCK_BYTES;
+        for len in [
+            0usize,
+            1,
+            15,
+            16,
+            17,
+            tile - 1,
+            tile,
+            tile + 1,
+            2 * tile + 33,
+        ] {
+            let pad = c.encrypt(0x600, &vec![0u8; len]);
+            let want: Vec<u8> = (0..len.div_ceil(BLOCK_BYTES) as u64)
+                .flat_map(|i| {
+                    let seed = u128::from(0xFEED_u64 ^ 0x600) | u128::from((5 << 20) + i) << 64;
+                    c.aes.encrypt_block(&seed.to_le_bytes())
+                })
+                .take(len)
+                .collect();
+            assert_eq!(pad, want, "len {len}");
+        }
+    }
+
+    /// Pins the line limit: a maximal line's pads never repeat across
+    /// counters 0..3, and one block more would reuse the next counter's
+    /// first pad.
+    #[test]
+    fn max_line_pads_stay_unique_across_counters() {
+        let mut c = cipher();
+        let addr = 0x80_0000;
+        let line = vec![0u8; CtrCipher::MAX_LINE_BYTES];
+        let edge = 4 * BLOCK_BYTES;
+        let mut seen: Vec<Vec<u8>> = Vec::new();
+        let mut first_pads = Vec::new();
+        for ctr in 0..4 {
+            c.set_counter(addr, ctr);
+            let pad = c.encrypt(addr, &line);
+            // The only seeds adjacent counters could share sit at the
+            // line's two ends.
+            let (head, rest) = pad.split_at(edge);
+            let tail = &rest[rest.len() - edge..];
+            first_pads.push(head[..BLOCK_BYTES].to_vec());
+            seen.extend(
+                head.chunks(BLOCK_BYTES)
+                    .chain(tail.chunks(BLOCK_BYTES))
+                    .map(<[u8]>::to_vec),
+            );
+        }
+        let mut unique = seen.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), seen.len(), "pad reused across counters");
+
+        c.set_counter(addr, 0);
+        let long = c.encrypt(addr, &vec![0u8; CtrCipher::MAX_LINE_BYTES + BLOCK_BYTES]);
+        assert_eq!(&long[CtrCipher::MAX_LINE_BYTES..], &first_pads[1][..]);
     }
 
     #[test]

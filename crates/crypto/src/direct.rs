@@ -10,6 +10,7 @@
 //! which is what commercial direct-encryption engines (e.g. Intel MKTME's
 //! XTS) do as well.
 
+use crate::ctr::{xor_in, TILE_BLOCKS};
 use crate::mac::{first_bad_block, tag_buffer};
 use crate::{Aes128, CryptoError, TaggedCiphertext, BLOCK_BYTES};
 
@@ -45,7 +46,8 @@ impl DirectCipher {
     /// Returns [`CryptoError::UnalignedBuffer`] if `data.len()` is not a
     /// multiple of [`BLOCK_BYTES`].
     pub fn encrypt(&self, addr: u64, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        self.process(addr, data, true)
+        check_aligned(data)?;
+        Ok(self.encrypt_whitened(addr, data))
     }
 
     /// Decrypts `data` previously produced by [`encrypt`](Self::encrypt) at
@@ -56,7 +58,16 @@ impl DirectCipher {
     /// Returns [`CryptoError::UnalignedBuffer`] if `data.len()` is not a
     /// multiple of [`BLOCK_BYTES`].
     pub fn decrypt(&self, addr: u64, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        self.process(addr, data, false)
+        check_aligned(data)?;
+        let mut out = Vec::with_capacity(data.len());
+        for (i, chunk) in data.chunks(BLOCK_BYTES).enumerate() {
+            let mut block = [0u8; BLOCK_BYTES];
+            block.copy_from_slice(chunk);
+            block = self.aes.decrypt_block(&block);
+            xor(&mut block, &tweak_for(addr, i));
+            out.extend_from_slice(&block);
+        }
+        Ok(out)
     }
 
     /// Encrypts `data` at `addr` and computes per-block MAC tags.
@@ -69,7 +80,7 @@ impl DirectCipher {
     /// Returns [`CryptoError::UnalignedBuffer`] if `data.len()` is not a
     /// multiple of [`BLOCK_BYTES`].
     pub fn encrypt_tagged(&self, addr: u64, data: &[u8]) -> Result<TaggedCiphertext, CryptoError> {
-        let bytes = self.process(addr, data, true)?;
+        let bytes = self.encrypt(addr, data)?;
         let tags = tag_buffer(&self.aes, addr, 0, &bytes);
         Ok(TaggedCiphertext { bytes, tags })
     }
@@ -85,31 +96,37 @@ impl DirectCipher {
         if let Some(block) = first_bad_block(&self.aes, addr, 0, &ct.bytes, &ct.tags) {
             return Err(CryptoError::TagMismatch { addr, block });
         }
-        self.process(addr, &ct.bytes, false)
+        self.decrypt(addr, &ct.bytes)
     }
 
-    fn process(&self, addr: u64, data: &[u8], enc: bool) -> Result<Vec<u8>, CryptoError> {
-        if !data.len().is_multiple_of(BLOCK_BYTES) {
-            return Err(CryptoError::UnalignedBuffer {
-                len: data.len(),
-                block: BLOCK_BYTES,
-            });
-        }
+    /// Encrypts block-aligned `data`: whitens a tile of blocks with their
+    /// tweaks, then encrypts the tile with one batched AES call.
+    fn encrypt_whitened(&self, addr: u64, data: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(data.len());
-        for (i, chunk) in data.chunks(BLOCK_BYTES).enumerate() {
-            let tweak = tweak_for(addr, i);
-            let mut block = [0u8; BLOCK_BYTES];
-            block.copy_from_slice(chunk);
-            if enc {
-                xor(&mut block, &tweak);
-                block = self.aes.encrypt_block(&block);
-            } else {
-                block = self.aes.decrypt_block(&block);
-                xor(&mut block, &tweak);
+        let mut tile = [[0u8; BLOCK_BYTES]; TILE_BLOCKS];
+        let mut idx = 0usize;
+        for src in data.chunks(TILE_BLOCKS * BLOCK_BYTES) {
+            let blocks = &mut tile[..src.len().div_ceil(BLOCK_BYTES)];
+            for (block, chunk) in blocks.iter_mut().zip(src.chunks(BLOCK_BYTES)) {
+                *block = tweak_for(addr, idx);
+                xor_in(block, chunk);
+                idx += 1;
             }
-            out.extend_from_slice(&block);
+            self.aes.encrypt_blocks(blocks);
+            out.extend_from_slice(blocks.as_flattened());
         }
-        Ok(out)
+        out
+    }
+}
+
+fn check_aligned(data: &[u8]) -> Result<(), CryptoError> {
+    if data.len().is_multiple_of(BLOCK_BYTES) {
+        Ok(())
+    } else {
+        Err(CryptoError::UnalignedBuffer {
+            len: data.len(),
+            block: BLOCK_BYTES,
+        })
     }
 }
 

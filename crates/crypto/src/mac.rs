@@ -18,7 +18,12 @@
 //! header binding means ciphertext relocated to another address, replayed
 //! from an older counter epoch, or reordered within the line fails
 //! verification just like a bit-flip does.
+//!
+//! [`tag_buffer`] and [`first_bad_block`] compute a tile of tags with two
+//! batched AES calls (all headers, then all masked blocks); [`block_tag`]
+//! is the one-block form they are tested against.
 
+use crate::ctr::{xor_in, TILE_BLOCKS};
 use crate::{Aes128, BLOCK_BYTES};
 
 /// Bytes kept from the full AES output per block tag (64-bit tags, as in
@@ -105,13 +110,51 @@ pub fn block_tag(aes: &Aes128, addr: u64, ctr: u64, block_idx: u64, ct_block: &[
     tag
 }
 
+/// Computes the full (untruncated) MAC outputs of a tile of at most
+/// [`TILE_BLOCKS`] ciphertext blocks whose first block has index `first`,
+/// into the front of `out`. Returns the filled prefix of `out`.
+fn mac_tile<'a>(
+    aes: &Aes128,
+    addr: u64,
+    ctr: u64,
+    first: u64,
+    ct: &[u8],
+    out: &'a mut [[u8; BLOCK_BYTES]; TILE_BLOCKS],
+) -> &'a [[u8; BLOCK_BYTES]] {
+    let macs = &mut out[..ct.len().div_ceil(BLOCK_BYTES)];
+    let mut idx = first;
+    for h in macs.iter_mut() {
+        *h = header(addr, ctr, idx);
+        idx = idx.wrapping_add(1);
+    }
+    aes.encrypt_blocks(macs);
+    for (h, c) in macs.iter_mut().zip(ct.chunks(BLOCK_BYTES)) {
+        // A partial final chunk is zero-padded: XOR only its bytes.
+        xor_in(h, c);
+    }
+    aes.encrypt_blocks(macs);
+    macs
+}
+
+/// The tag kept from one full MAC output: its first [`TAG_BYTES`].
+fn truncate(full: &[u8; BLOCK_BYTES]) -> BlockTag {
+    let [t0, t1, t2, t3, t4, t5, t6, t7, ..] = *full;
+    [t0, t1, t2, t3, t4, t5, t6, t7]
+}
+
 /// Computes the tags for every [`BLOCK_BYTES`] chunk of `bytes`.
 pub fn tag_buffer(aes: &Aes128, addr: u64, ctr: u64, bytes: &[u8]) -> Vec<BlockTag> {
-    bytes
-        .chunks(BLOCK_BYTES)
-        .enumerate()
-        .map(|(i, chunk)| block_tag(aes, addr, ctr, i as u64, chunk))
-        .collect()
+    let mut tags = Vec::with_capacity(bytes.len().div_ceil(BLOCK_BYTES));
+    let mut macs = [[0u8; BLOCK_BYTES]; TILE_BLOCKS];
+    for (t, tile) in bytes.chunks(TILE_BLOCKS * BLOCK_BYTES).enumerate() {
+        let first = (t * TILE_BLOCKS) as u64;
+        tags.extend(
+            mac_tile(aes, addr, ctr, first, tile, &mut macs)
+                .iter()
+                .map(truncate),
+        );
+    }
+    tags
 }
 
 /// Index of the first chunk of `bytes` whose recomputed tag differs from
@@ -127,9 +170,19 @@ pub fn first_bad_block(
     if tags.len() != chunks {
         return Some(0);
     }
-    for (i, (chunk, tag)) in bytes.chunks(BLOCK_BYTES).zip(tags.iter()).enumerate() {
-        if block_tag(aes, addr, ctr, i as u64, chunk) != *tag {
-            return Some(i);
+    let mut macs = [[0u8; BLOCK_BYTES]; TILE_BLOCKS];
+    let tiles = bytes
+        .chunks(TILE_BLOCKS * BLOCK_BYTES)
+        .zip(tags.chunks(TILE_BLOCKS));
+    for (t, (tile, stored)) in tiles.enumerate() {
+        let first = t * TILE_BLOCKS;
+        let macs = mac_tile(aes, addr, ctr, first as u64, tile, &mut macs);
+        if let Some(j) = macs
+            .iter()
+            .zip(stored)
+            .position(|(m, tag)| truncate(m) != *tag)
+        {
+            return Some(first + j);
         }
     }
     None
@@ -154,6 +207,34 @@ mod tests {
         assert_ne!(t, block_tag(&aes, 0x1000, 4, 0, &ct), "counter-bound");
         assert_ne!(t, block_tag(&aes, 0x1000, 3, 1, &ct), "index-bound");
         assert_ne!(t, block_tag(&aes, 0x1000, 3, 0, &[0x5B; 16]), "data-bound");
+    }
+
+    /// The batched tiles give exactly the one-block construction's tags,
+    /// across tile boundaries and partial tails, and locate the first bad
+    /// block in any tile.
+    #[test]
+    fn batched_tags_match_block_tag() {
+        let aes = aes();
+        let tile = TILE_BLOCKS * BLOCK_BYTES;
+        for len in [0usize, 1, 16, 40, tile - 1, tile, tile + 1, 3 * tile + 17] {
+            let bytes: Vec<u8> = (0..=250u8).cycle().take(len).collect();
+            let tags = tag_buffer(&aes, 0x7000, 9, &bytes);
+            let want: Vec<BlockTag> = bytes
+                .chunks(BLOCK_BYTES)
+                .enumerate()
+                .map(|(i, c)| block_tag(&aes, 0x7000, 9, i as u64, c))
+                .collect();
+            assert_eq!(tags, want, "len {len}");
+            assert_eq!(first_bad_block(&aes, 0x7000, 9, &bytes, &tags), None);
+            for bad in [0, tags.len() / 2, tags.len().saturating_sub(1)] {
+                let Some(tag) = tags.get(bad) else { continue };
+                let mut forged = tags.clone();
+                forged[bad] = [
+                    !tag[0], tag[1], tag[2], tag[3], tag[4], tag[5], tag[6], tag[7],
+                ];
+                assert_eq!(first_bad_block(&aes, 0x7000, 9, &bytes, &forged), Some(bad));
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! AES-128 known-answer tests from FIPS-197 and NIST SP 800-38A, plus a
-//! CTR-mode encrypt/decrypt roundtrip property test.
+//! AES-128 known-answer tests from FIPS-197 and NIST SP 800-38A, through
+//! both the single-block and the batched entry points, plus a CTR-mode
+//! encrypt/decrypt roundtrip property test.
 //!
 //! These vectors pin the block cipher to the published standard: if the
 //! S-box, key schedule, or round structure regresses, the bus-level
@@ -28,6 +29,9 @@ fn fips197_appendix_c1_encrypt() {
     let aes = Aes128::new(&key);
     assert_eq!(aes.encrypt_block(&plaintext), expected);
     assert_eq!(aes.encrypt_block_reference(&plaintext), expected);
+    let mut batch = [plaintext];
+    aes.encrypt_blocks(&mut batch);
+    assert_eq!(batch, [expected]);
     assert_eq!(aes.decrypt_block(&expected), plaintext);
 }
 
@@ -87,6 +91,15 @@ fn sp800_38a_f11_ecb_encrypt() {
         assert_eq!(aes.encrypt_block(pt), *ct, "block {i}");
         assert_eq!(aes.decrypt_block(ct), *pt, "block {i}");
     }
+    // The batched entry point, over all four blocks at once and over a
+    // run long enough to reach the 8-wide AES-NI body plus a remainder.
+    let mut batch = blocks.map(|(pt, _)| pt);
+    aes.encrypt_blocks(&mut batch);
+    assert_eq!(batch, blocks.map(|(_, ct)| ct));
+    let mut long: Vec<[u8; 16]> = blocks.iter().cycle().take(11).map(|(pt, _)| *pt).collect();
+    aes.encrypt_blocks(&mut long);
+    let want: Vec<[u8; 16]> = blocks.iter().cycle().take(11).map(|(_, ct)| *ct).collect();
+    assert_eq!(long, want);
 }
 
 /// The fast T-table path and the straightforward reference path must
