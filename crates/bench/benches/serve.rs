@@ -6,14 +6,15 @@ use std::time::Duration;
 
 use seal_bench::timing::bench;
 use seal_nn::models::vgg16_topology;
-use seal_serve::{BoundedQueue, CostModel, ServerConfig};
+use seal_serve::{CostModel, FairQueue, ServerConfig};
 
 fn main() {
-    let queue: BoundedQueue<u64> = BoundedQueue::new(1024);
+    // The in-process server's queue: one lane, quantum = max_batch.
+    let queue: FairQueue<u64> = FairQueue::one_lane(1024, 8);
     let mut i = 0u64;
     bench("serve/queue_push_pop", || {
         i = i.wrapping_add(1);
-        let _ = queue.try_push(i);
+        let _ = queue.try_push(0, i);
         queue.pop_batch(8, Duration::ZERO)
     });
 

@@ -453,6 +453,12 @@ impl<H: Handler> Reactor<H> {
                 last_sweep = Instant::now();
             }
         }
+        // A drain requested in the same wake-up as the stop (both flags
+        // flipped while the loop was busy or parked in `epoll.wait`) must
+        // still announce itself: every peer gets its GOAWAY before close.
+        if !self.draining && self.drain_flag.load(Ordering::Acquire) {
+            self.begin_drain();
+        }
         // Shutdown: deliver anything still in the mailbox (dead conns are
         // counted as dropped), then close all connections.
         self.wake.drain();

@@ -278,3 +278,49 @@ fn capped_rcvbuf_client_still_roundtrips_when_reading() {
     let err = FrameClient::connect(1, Duration::from_millis(100)).unwrap_err();
     assert!(matches!(err, NetError::Io { .. }));
 }
+
+/// Holds the reactor inside `on_frame` until the test releases it, so
+/// control flags can be flipped while the event loop is busy.
+struct Gate {
+    entered: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+}
+
+impl Handler for Gate {
+    fn on_frame(&mut self, _conn: ConnId, frame: Frame, reply: &mut Vec<Vec<u8>>) {
+        let _ = self.entered.send(());
+        let _ = self.release.recv();
+        reply.push(Frame::response(frame.tenant, frame.seq, Vec::new()).encode());
+    }
+}
+
+#[test]
+fn drain_and_shutdown_in_one_wakeup_still_send_goaway() {
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let (port, control, handle, _rx) = start(ReactorConfig::default(), |_| Gate {
+        entered: entered_tx,
+        release: release_rx,
+    });
+    let mut wire = Wire::connect(port);
+    wire.send(&Frame::request(1, 1, vec![1]).encode());
+    entered
+        .recv_timeout(Duration::from_secs(5))
+        .expect("reactor delivered the frame");
+    // Both flags land while the reactor is mid-event: the loop sees
+    // `stop` next and never runs another iteration.
+    control.drain();
+    control.shutdown();
+    release.send(()).unwrap();
+    let stats = handle.join().unwrap();
+    assert_eq!(stats.goaways_sent, 1, "a requested drain must GOAWAY");
+
+    let mut kinds = Vec::new();
+    while let Some(frame) = wire.read_frame() {
+        kinds.push(frame.kind);
+    }
+    assert!(
+        kinds.contains(&FrameKind::Goaway),
+        "client must read a GOAWAY before EOF, got {kinds:?}"
+    );
+}

@@ -10,20 +10,29 @@
 //! single-tenant (a batch never mixes tenants, which is what keeps the
 //! per-tenant cost lanes and key material honest).
 //!
-//! The blocking/batching discipline mirrors [`BoundedQueue`]
-//! (crate::queue::BoundedQueue): consumers wait for the first item, then
+//! Producers never block: admission rejects when a lane is full, which
+//! is the backpressure signal. Consumers wait for the first item, then
 //! linger up to the batching deadline hoping to fill `max_batch` from the
-//! selected tenant. Lock poisoning is recovered, never propagated.
+//! selected tenant. A *barrier* predicate isolates chosen items (the
+//! chaos harness's panic-injected requests) into singleton batches. The
+//! in-process [`Server`](crate::Server) runs on a
+//! [`one_lane`](FairQueue::one_lane) queue. Lock poisoning is recovered,
+//! never propagated.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::queue::PushRefused;
+use crate::locked;
+use crate::metrics::QueueDepthStats;
 
-/// Recovers the guard from a possibly-poisoned mutex (plain data inside).
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Why a push was refused.
+#[derive(Debug, PartialEq, Eq)]
+pub enum PushRefused {
+    /// The lane is at capacity (admission control / backpressure).
+    Full,
+    /// The queue is closed for new work (server shutting down).
+    Closed,
 }
 
 /// One tenant's lane: its bounded backlog and its running DRR deficit.
@@ -43,6 +52,7 @@ struct FairState<T> {
     closed: bool,
     /// Total queued items across lanes (cheap emptiness check).
     queued: usize,
+    depth: QueueDepthStats,
 }
 
 /// A batch popped from the fair queue: every item belongs to one tenant.
@@ -87,6 +97,7 @@ impl<T> FairQueue<T> {
                 cursor: 0,
                 closed: false,
                 queued: 0,
+                depth: QueueDepthStats::default(),
             }),
             not_empty: Condvar::new(),
             emptied: Condvar::new(),
@@ -95,12 +106,20 @@ impl<T> FairQueue<T> {
         }
     }
 
+    /// A single-tenant queue holding at most `capacity` items. The DRR
+    /// quantum is `max_batch`, so every visit may take a full batch and
+    /// batches fill exactly as a plain FIFO's would.
+    pub fn one_lane(capacity: usize, max_batch: usize) -> Self {
+        FairQueue::new(&[(0, 1)], capacity, max_batch as u64)
+    }
+
     /// Per-lane capacity.
     pub fn per_tenant_capacity(&self) -> usize {
         self.per_tenant_capacity
     }
 
-    /// Non-blocking admission into `tenant_index`'s lane.
+    /// Non-blocking admission into `tenant_index`'s lane. The total depth
+    /// observed at submission feeds [`depth_stats`](Self::depth_stats).
     ///
     /// # Errors
     ///
@@ -118,6 +137,8 @@ impl<T> FairQueue<T> {
             return Err((item, PushRefused::Full));
         }
         lane.items.push_back(item);
+        let depth = s.queued;
+        s.depth.observe(depth);
         s.queued += 1;
         drop(s);
         self.not_empty.notify_one();
@@ -128,6 +149,23 @@ impl<T> FairQueue<T> {
     /// then returns the next DRR-selected single-tenant batch of at most
     /// `max_batch` items. Returns `None` when closed and fully drained.
     pub fn pop_batch(&self, max_batch: usize, deadline: Duration) -> Option<FairBatch<T>> {
+        self.pop_batch_with(max_batch, deadline, |_| false)
+    }
+
+    /// [`pop_batch`](Self::pop_batch) with a *barrier* predicate: an item
+    /// for which `barrier` returns `true` is always returned as a
+    /// singleton batch and never shares a batch with other items.
+    ///
+    /// The chaos harness uses this to isolate poisoned (panic-injected)
+    /// requests: a singleton batch guarantees the planned panic takes down
+    /// exactly its own request and produces exactly one supervisor
+    /// respawn, keeping fault accounting deterministic.
+    pub fn pop_batch_with(
+        &self,
+        max_batch: usize,
+        deadline: Duration,
+        barrier: impl Fn(&T) -> bool,
+    ) -> Option<FairBatch<T>> {
         let max_batch = max_batch.max(1);
         let mut s = locked(&self.state);
         loop {
@@ -137,10 +175,17 @@ impl<T> FairQueue<T> {
                 }
                 s = self.not_empty.wait(s).unwrap_or_else(|e| e.into_inner());
             }
-            // Linger for the batching deadline while the backlog is short
-            // of a full batch (same discipline as BoundedQueue).
+            // A barrier item at a lane head leaves immediately, alone.
+            let barrier_at_head = s
+                .lanes
+                .iter()
+                .any(|lane| lane.items.front().is_some_and(&barrier));
+            // Otherwise linger for the batching deadline while the backlog
+            // is short of a full batch. `wait_timeout` releases the lock,
+            // so a sibling worker may steal the items meanwhile — then
+            // `drr_take` finds nothing and we go back to waiting.
             let until = Instant::now() + deadline;
-            while s.queued > 0 && s.queued < max_batch && !s.closed {
+            while !barrier_at_head && s.queued > 0 && s.queued < max_batch && !s.closed {
                 let now = Instant::now();
                 if now >= until {
                     break;
@@ -154,7 +199,7 @@ impl<T> FairQueue<T> {
                     break;
                 }
             }
-            if let Some(batch) = self.drr_take(&mut s, max_batch) {
+            if let Some(batch) = self.drr_take(&mut s, max_batch, &barrier) {
                 return Some(batch);
             }
         }
@@ -162,8 +207,14 @@ impl<T> FairQueue<T> {
 
     /// One DRR scheduling decision under the lock: find the next lane
     /// with backlog, top up its deficit, and take up to
-    /// `min(deficit, max_batch, backlog)` items.
-    fn drr_take(&self, s: &mut FairState<T>, max_batch: usize) -> Option<FairBatch<T>> {
+    /// `min(deficit, max_batch, backlog)` items — stopping short of the
+    /// first barrier item, which rides alone when it reaches the head.
+    fn drr_take(
+        &self,
+        s: &mut FairState<T>,
+        max_batch: usize,
+        barrier: impl Fn(&T) -> bool,
+    ) -> Option<FairBatch<T>> {
         if s.queued == 0 {
             return None;
         }
@@ -178,7 +229,12 @@ impl<T> FairQueue<T> {
                 lane.deficit = 0;
             } else {
                 lane.deficit = lane.deficit.saturating_add(quantum * lane.weight);
-                let take = (lane.deficit.min(max_batch as u64) as usize).min(lane.items.len());
+                let limit = (lane.deficit.min(max_batch as u64) as usize).min(lane.items.len());
+                let take = match lane.items.iter().take(limit).position(&barrier) {
+                    Some(0) => 1,
+                    Some(at) => at,
+                    None => limit,
+                };
                 if take > 0 {
                     lane.deficit -= take as u64;
                     let items: Vec<T> = lane.items.drain(..take).collect();
@@ -247,6 +303,11 @@ impl<T> FairQueue<T> {
             s = guard;
         }
         true
+    }
+
+    /// Queue-depth statistics observed at submission time.
+    pub fn depth_stats(&self) -> QueueDepthStats {
+        locked(&self.state).depth
     }
 
     /// Items currently queued across all lanes.
@@ -373,6 +434,54 @@ mod tests {
         popper.join().unwrap();
         // Already-empty queues return immediately.
         assert!(q.wait_empty(Duration::ZERO));
+    }
+
+    #[test]
+    fn one_lane_fills_whole_batches() {
+        // The quantum `Server` uses never splits a full backlog.
+        let q = FairQueue::one_lane(16, 8);
+        for i in 0..8 {
+            q.try_push(0, i).unwrap();
+        }
+        let batch = q.pop_batch(8, Duration::ZERO).unwrap();
+        assert_eq!(batch.items, (0..8).collect::<Vec<_>>());
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn barrier_items_ride_alone() {
+        let q = FairQueue::one_lane(8, 8);
+        // 1, 2, POISON(3), 4, POISON(5), 6.
+        for i in [1, 2, 3, 4, 5, 6] {
+            q.try_push(0, i).unwrap();
+        }
+        let barrier = |x: &i32| *x == 3 || *x == 5;
+        let pop = || q.pop_batch_with(8, Duration::ZERO, barrier).unwrap().items;
+        assert_eq!(pop(), vec![1, 2]);
+        assert_eq!(pop(), vec![3]);
+        assert_eq!(pop(), vec![4]);
+        assert_eq!(pop(), vec![5]);
+        assert_eq!(pop(), vec![6]);
+    }
+
+    #[test]
+    fn barrier_at_head_is_a_singleton() {
+        let q = FairQueue::one_lane(4, 4);
+        q.try_push(0, 9).unwrap();
+        q.try_push(0, 1).unwrap();
+        let batch = q.pop_batch_with(4, Duration::ZERO, |x| *x == 9).unwrap();
+        assert_eq!(batch.items, vec![9]);
+    }
+
+    #[test]
+    fn depth_stats_track_submission_time_depth() {
+        let q = FairQueue::one_lane(8, 8);
+        for i in 0..3 {
+            q.try_push(0, i).unwrap();
+        }
+        let d = q.depth_stats();
+        assert_eq!(d.samples, 3);
+        assert_eq!(d.depth_max, 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A hermetic (std-only) serving runtime that turns the paper's memory-
 //! encryption story into an end-to-end systems measurement. The runtime is
 //! real — a hand-rolled worker pool pulls dynamic batches off a bounded
-//! request queue and runs the zoo model's `&self` inference path — while
+//! request queue and runs each model's compiled inference plan — while
 //! the memory encryption is virtual: every realized batch's weight and
 //! feature-map traffic is priced under three schemes at once (no
 //! encryption, full counter-mode, and SEAL smart encryption at the
@@ -16,17 +16,16 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`queue`] | bounded MPMC queue: non-blocking admission, deadline batching, poison barriers |
-//! | [`server`] | supervised worker pool, request lifecycle, shed/drain/respawn |
+//! | [`server`] | the one batch executor (`worker_loop`) under both transports, plus the in-process front-end |
 //! | [`breaker`] | event-counted circuit breaker gating admission |
 //! | [`model`] | the zoo: reduced `Sequential` + full-size costing topology |
 //! | [`cost`] | per-scheme virtual pipelines pricing each realized batch (and its fault recoveries) |
 //! | [`metrics`] | latency percentiles, queue-depth and batch statistics |
 //! | [`loadgen`] | closed-loop, open-loop and chaos load generators |
 //! | [`arrivals`] | deterministic Pareto arrival schedules + tenant assignment |
-//! | [`tenant`] | multi-tenant registry: per-tenant keys, counter windows, models, breakers |
-//! | [`fair`] | per-tenant bounded lanes drained by deficit round-robin |
-//! | [`netserve`] | the TCP front-end: seal-net reactor + admission + tenant workers |
+//! | [`tenant`] | per-model serving state (model, plans, cost lanes, stats, breaker) and the multi-tenant registry |
+//! | [`fair`] | per-tenant bounded lanes drained by deficit round-robin; deadline batching, poison barriers |
+//! | [`netserve`] | the TCP front-end: seal-net reactor + admission feeding the shared executor |
 //! | [`netload`] | open-loop TCP load generator with network-fault realisation |
 //! | [`netreport`] | `results/serve_net.json` writer + net-smoke acceptance checks |
 //! | [`report`] | `results/serve_*.json` writer + smoke acceptance checks |
@@ -68,7 +67,6 @@ pub mod model;
 pub mod netload;
 pub mod netreport;
 pub mod netserve;
-pub mod queue;
 pub mod report;
 pub mod server;
 pub mod tenant;
@@ -78,7 +76,7 @@ pub use breaker::{BreakerState, BreakerStats, CircuitBreaker};
 pub use config::ServerConfig;
 pub use cost::{CostModel, FaultStats, SchemeSummary, COSTED_SCHEMES};
 pub use error::ServeError;
-pub use fair::{FairBatch, FairQueue};
+pub use fair::{FairBatch, FairQueue, PushRefused};
 pub use loadgen::{ChaosReport, LoadMode, LoadReport};
 pub use metrics::{BatchStats, LatencyHistogram, QueueDepthStats};
 pub use model::{ServedModel, ZOO};
@@ -87,9 +85,12 @@ pub use netload::{
 };
 pub use netreport::{DrainPhase, NetPhase, NetSmoke};
 pub use netserve::{NetServer, NetServerConfig, NetStats};
-pub use queue::{BoundedQueue, PushRefused};
-pub use report::{
-    ChaosRun, ChaosSmoke, PlanComparison, QuantComparison, QuantLaneDelta, ServeReport,
-};
+pub use report::{ChaosRun, ChaosSmoke, QuantComparison, QuantLaneDelta, ServeReport};
 pub use server::{Response, ResponseHandle, ServeStats, Server};
 pub use tenant::{TenantRegistry, TenantSpec, TenantState};
+
+/// Poison-recovering lock: queues, metrics and cost state are plain data,
+/// valid after any worker panic, so the guard is always usable.
+pub(crate) fn locked<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -1,7 +1,8 @@
 //! The served model: the repo's dual view of each zoo network.
 //!
 //! A [`ServedModel`] pairs the *trainable reduced* `Sequential` (which the
-//! workers actually run, via the lock-free `forward_infer` path) with the
+//! workers run through compiled inference plans; [`ServedModel::classify`]
+//! is the `forward_infer` reference they match bitwise) with the
 //! *full-size* [`NetworkTopology`] whose exact byte counts drive the
 //! encryption cost model. This mirrors how the rest of the workspace
 //! separates functional behaviour from performance accounting.
@@ -109,8 +110,8 @@ impl ServedModel {
     ///
     /// # Errors
     ///
-    /// Propagates plan-compilation failures (an unplannable layer); the
-    /// server falls back to the unplanned path in that case.
+    /// Propagates plan-compilation failures (an unplannable layer); server
+    /// start fails with this error, since serving runs only through plans.
     pub fn compile_plan(
         &self,
         max_batch: usize,
@@ -132,7 +133,8 @@ impl ServedModel {
     /// Classifies a batch, returning one class index per sample.
     ///
     /// Runs the cache-free `forward_infer` path, so it takes `&self` and
-    /// is safe to call from many worker threads concurrently.
+    /// is safe to call from many threads concurrently. Servers run the
+    /// compiled plan instead; this is the reference tests compare against.
     ///
     /// # Errors
     ///

@@ -1,11 +1,12 @@
 //! The TCP-facing multi-tenant inference server.
 //!
-//! Wires the seal-net reactor to the serving stack: the reactor's handler
+//! Wires the seal-net reactor to the serving core: the reactor's handler
 //! does *admission only* (parse the request body, resolve the tenant,
-//! consult its breaker, push into its weighted-fair lane), worker threads
-//! pop strictly single-tenant batches from the [`FairQueue`], run the
-//! tenant's own model under the tenant's own cost lanes, and deliver
-//! responses back through the reactor's [`Responder`] mailbox.
+//! consult its breaker, push into its weighted-fair lane); the shared
+//! `worker_loop` ([`server`](crate::server)) pops strictly single-tenant batches from
+//! the [`FairQueue`], runs the tenant's own compiled plan under the
+//! tenant's own cost lanes, and this module's rider delivers each outcome
+//! back through the reactor's [`Responder`] mailbox.
 //!
 //! ## Wire contract (over the seal-net frame protocol)
 //!
@@ -25,23 +26,22 @@
 //! Every failure is a typed reject or a typed close; the admission path
 //! never blocks the reactor thread and never touches model weights.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use seal_net::reactor::{Handler, Reactor, ReactorConfig, ReactorControl, ReactorStats, Responder};
 use seal_net::{ConnId, Frame, FrameKind};
-use seal_nn::CompiledModel;
-use seal_pool::{spawn_supervised, SupervisedWorker, SupervisorReport};
+use seal_pool::{SupervisedWorker, SupervisorReport};
 use seal_tensor::rng::rngs::StdRng;
 use seal_tensor::rng::SeedableRng;
 use seal_tensor::Tensor;
 
-use crate::fair::{FairBatch, FairQueue};
-use crate::queue::PushRefused;
-use crate::tenant::{TenantRegistry, TenantSpec, TenantState};
-use crate::{ServeError, ServerConfig};
+use crate::fair::{FairQueue, PushRefused};
+use crate::server::{join_workers, Core, Request, Response, Rider};
+use crate::tenant::{TenantRegistry, TenantSpec};
+use crate::{locked, ServeError, ServedModel, ServerConfig};
 
 /// Reject code: the tenant's admission lane is full (retryable).
 pub const REJECT_QUEUE_FULL: u8 = 1;
@@ -189,41 +189,58 @@ impl NetServerConfig {
     }
 }
 
-/// One admitted request riding a tenant's fair-queue lane.
+/// The TCP rider: the request's connection and user (its request id is
+/// the frame `seq`). Its input is a pure function of the user id, so the
+/// whole 10^5-user workload is reproducible without shipping tensors.
 #[derive(Debug)]
-struct NetRequest {
+struct Remote {
     conn: ConnId,
-    seq: u64,
     user: u64,
     /// Requested response pad in bytes (slow-reader chaos probes).
     pad: u64,
-    enqueued: Instant,
 }
 
-/// Poison-tolerant lock helper (mirrors the rest of the crate).
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+impl Rider for Remote {
+    type Sink = Responder;
 
-/// State shared between the admission handler and the workers.
-#[derive(Debug)]
-struct NetShared {
-    registry: Arc<TenantRegistry>,
-    queue: Arc<FairQueue<NetRequest>>,
-    responder: Responder,
-    errors: Mutex<Vec<ServeError>>,
-    max_batch: usize,
-    batch_deadline: Duration,
-    request_deadline: Duration,
-    use_plan: bool,
-    quantized: bool,
+    fn input(&self, model: &ServedModel) -> Cow<'_, Tensor> {
+        Cow::Owned(model.sample(&mut StdRng::seed_from_u64(self.user)))
+    }
+
+    fn reply(self, sink: &Responder, tenant: u32, seq: u64, outcome: Result<Response, ServeError>) {
+        let reject = |code, msg: &str| Frame::reject(tenant, seq, reject_payload(code, msg));
+        let frame = match outcome {
+            Ok(response) => {
+                let mut payload = Vec::with_capacity(12 + self.pad as usize);
+                payload.extend_from_slice(&(response.prediction as u32).to_le_bytes());
+                payload.extend_from_slice(&self.user.to_le_bytes());
+                // Requested pad: zero filler that makes the reply bulky
+                // enough to exercise write-side backpressure.
+                payload.resize(12 + self.pad as usize, 0);
+                Frame::response(tenant, seq, payload)
+            }
+            Err(ServeError::DeadlineExceeded {
+                waited, deadline, ..
+            }) => {
+                let (waited, deadline) = (waited.as_micros(), deadline.as_micros());
+                let msg = format!("shed after {waited}us (deadline {deadline}us)");
+                reject(REJECT_SHED, &msg)
+            }
+            Err(ServeError::DrainedAtShutdown { .. }) => {
+                reject(REJECT_DRAINED, "drain window expired")
+            }
+            Err(e) => reject(REJECT_MODEL, &format!("batch failed: {e}")),
+        };
+        sink.send(self.conn, frame.encode());
+    }
 }
 
 /// The reactor-side admission handler: parse, resolve tenant, consult the
 /// breaker, push into the tenant's lane — or reject, typed, immediately.
 struct Admission {
     registry: Arc<TenantRegistry>,
-    queue: Arc<FairQueue<NetRequest>>,
+    queue: Arc<FairQueue<Request<Remote>>>,
+    request_deadline: Duration,
 }
 
 impl Admission {
@@ -266,13 +283,8 @@ impl Admission {
                 &format!("breaker open after {streak} sheds"),
             ));
         }
-        let request = NetRequest {
-            conn,
-            seq: frame.seq,
-            user,
-            pad,
-            enqueued: Instant::now(),
-        };
+        let rider = Remote { conn, user, pad };
+        let request = Request::new(frame.seq, rider, None, self.request_deadline);
         match self.queue.try_push(index, request) {
             Ok(()) => Ok(()),
             Err((_, PushRefused::Full)) => {
@@ -335,7 +347,7 @@ pub struct NetStats {
 /// worker pool.
 #[derive(Debug)]
 pub struct NetServer {
-    shared: Arc<NetShared>,
+    shared: Arc<Core<Remote>>,
     control: ReactorControl,
     reactor: Option<std::thread::JoinHandle<ReactorStats>>,
     workers: Vec<SupervisedWorker>,
@@ -343,13 +355,14 @@ pub struct NetServer {
 }
 
 impl NetServer {
-    /// Validates the configuration, builds the tenant registry, binds the
-    /// TCP listener and spawns the reactor and the supervised workers.
+    /// Validates the configuration, builds the tenant registry (compiling
+    /// every tenant's plan), binds the TCP listener and spawns the reactor
+    /// and the supervised workers.
     ///
     /// # Errors
     ///
-    /// Propagates configuration, registry-build, socket and spawn
-    /// failures, all typed.
+    /// Propagates configuration, registry-build (including plan
+    /// compilation), socket and spawn failures, all typed.
     pub fn start(config: NetServerConfig) -> Result<NetServer, ServeError> {
         config.base.validate()?;
         let registry = Arc::new(TenantRegistry::build(
@@ -382,6 +395,7 @@ impl NetServer {
             Admission {
                 registry: Arc::clone(&registry),
                 queue: Arc::clone(&queue),
+                request_deadline: config.base.request_deadline,
             },
         )
         .map_err(|e| ServeError::Net(seal_net::NetError::io("bind")(e)))?;
@@ -389,32 +403,11 @@ impl NetServer {
         let responder = reactor.responder();
         let control = reactor.control();
 
-        let shared = Arc::new(NetShared {
-            registry,
-            queue,
-            responder,
-            errors: Mutex::new(Vec::new()),
-            max_batch: config.base.max_batch,
-            batch_deadline: config.base.batch_deadline,
-            request_deadline: config.base.request_deadline,
-            use_plan: config.base.use_plan,
-            quantized: config.base.quantized,
-        });
+        let shared = Arc::new(Core::new(registry, queue, responder, &config.base));
 
         let reactor_join = seal_pool::spawn_worker("seal-net-reactor", move || reactor.run())
             .map_err(|e| ServeError::WorkerSpawn { worker: 0, source: e })?;
-
-        let mut workers = Vec::with_capacity(config.base.workers);
-        for i in 0..config.base.workers {
-            let shared = Arc::clone(&shared);
-            let worker = spawn_supervised(
-                format!("seal-net-worker-{i}"),
-                config.base.worker_respawn_budget,
-                move || net_worker_loop(&shared),
-            )
-            .map_err(|e| ServeError::WorkerSpawn { worker: i, source: e })?;
-            workers.push(worker);
-        }
+        let workers = shared.spawn_workers("seal-net-worker", &config.base)?;
 
         Ok(NetServer {
             shared,
@@ -445,21 +438,6 @@ impl NetServer {
         }
     }
 
-    /// Joins every worker, merging their supervision reports.
-    fn join_workers(&mut self) -> SupervisorReport {
-        let mut supervision = SupervisorReport::default();
-        for w in self.workers.drain(..) {
-            let report = w.join();
-            supervision.panics += report.panics;
-            supervision.respawns += report.respawns;
-            supervision.quarantined |= report.quarantined;
-            if report.last_panic.is_some() {
-                supervision.last_panic = report.last_panic;
-            }
-        }
-        supervision
-    }
-
     /// Stops the reactor, closes the fair queue, joins the workers and
     /// returns the aggregated run statistics. Requests still queued are
     /// counted as drained (their connections are gone with the reactor,
@@ -475,7 +453,7 @@ impl NetServer {
         self.control.shutdown();
         let reactor = self.join_reactor()?;
         self.shared.queue.close();
-        let supervision = self.join_workers();
+        let supervision = join_workers(std::mem::take(&mut self.workers));
         let drained: u64 = self
             .shared
             .queue
@@ -483,7 +461,7 @@ impl NetServer {
             .iter()
             .map(|b| b.items.len() as u64)
             .sum();
-        let worker_errors = std::mem::take(&mut *locked(&self.shared.errors));
+        let worker_errors = self.shared.take_errors();
         Ok(NetStats {
             reactor,
             supervision,
@@ -519,35 +497,17 @@ impl NetServer {
     /// Returns [`ServeError::WorkerLost`] only if the reactor thread
     /// itself panicked.
     pub fn finish_drain(mut self, window: Duration) -> Result<NetStats, ServeError> {
-        let emptied = self.shared.queue.wait_empty(window);
-        let mut drain_rejected = 0u64;
-        if !emptied {
-            // Window expired: answer the backlog, typed, while the
-            // reactor can still flush frames to the peers.
-            for batch in self.shared.queue.drain_remaining() {
-                let tenant = self.shared.registry.by_index(batch.tenant_index);
-                for req in batch.items {
-                    tenant.rejected_drain.fetch_add(1, Ordering::Relaxed);
-                    drain_rejected += 1;
-                    self.shared.responder.send(
-                        req.conn,
-                        Frame::reject(
-                            batch.tenant,
-                            req.seq,
-                            reject_payload(REJECT_DRAINED, "drain window expired"),
-                        )
-                        .encode(),
-                    );
-                }
-            }
-        }
+        // If the window expires, answer the backlog, typed, while the
+        // reactor can still flush frames to the peers.
+        self.shared.queue.wait_empty(window);
+        let drain_rejected = self.shared.reject_queued();
         // The queue is closed and empty, so workers exit on their own;
         // joining them first guarantees their final responses are in the
         // responder mailbox before the reactor's shutdown flush.
-        let supervision = self.join_workers();
+        let supervision = join_workers(std::mem::take(&mut self.workers));
         self.control.shutdown();
         let reactor = self.join_reactor()?;
-        let worker_errors = std::mem::take(&mut *locked(&self.shared.errors));
+        let worker_errors = self.shared.take_errors();
         Ok(NetStats {
             reactor,
             supervision,
@@ -557,119 +517,6 @@ impl NetServer {
             schemes: self.shared.registry.scheme_rollup(),
             worker_errors,
         })
-    }
-
-}
-
-/// Serves one single-tenant batch: shed the expired, derive each user's
-/// input, classify through the tenant's (lazily compiled) plan, price the
-/// batch on the tenant's cost lanes, answer every rider.
-fn serve_batch(
-    shared: &NetShared,
-    plans: &mut HashMap<usize, Option<CompiledModel>>,
-    batch: FairBatch<NetRequest>,
-) {
-    let tenant: &TenantState = shared.registry.by_index(batch.tenant_index);
-    let now = Instant::now();
-    let mut live = Vec::with_capacity(batch.items.len());
-    for req in batch.items {
-        let waited = now.saturating_duration_since(req.enqueued);
-        // `ZERO` disables organic shedding, matching `ServerConfig`'s
-        // request_deadline contract (chaos presets rely on it: whether a
-        // backlogged request beats a wall-clock deadline is not a
-        // function of the fault seed).
-        if !shared.request_deadline.is_zero() && waited > shared.request_deadline {
-            tenant.shed.fetch_add(1, Ordering::Relaxed);
-            locked(&tenant.breaker).on_shed();
-            let msg = format!(
-                "shed after {}us (deadline {}us)",
-                waited.as_micros(),
-                shared.request_deadline.as_micros()
-            );
-            shared.responder.send(
-                req.conn,
-                Frame::reject(batch.tenant, req.seq, reject_payload(REJECT_SHED, &msg)).encode(),
-            );
-        } else {
-            live.push(req);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-
-    // Each user's input tensor is a pure function of their id, so the
-    // whole 10^5-user workload is reproducible without shipping tensors.
-    let inputs: Vec<Tensor> = live
-        .iter()
-        .map(|r| tenant.model().sample(&mut StdRng::seed_from_u64(r.user)))
-        .collect();
-    let refs: Vec<&Tensor> = inputs.iter().collect();
-
-    // Lazily compile this tenant's plan once per worker; a failed compile
-    // is recorded once and the worker falls back to the interpreter.
-    if shared.use_plan && !plans.contains_key(&batch.tenant_index) {
-        let compiled = match tenant.model().compile_plan(shared.max_batch, shared.quantized) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                locked(&shared.errors).push(e);
-                None
-            }
-        };
-        plans.insert(batch.tenant_index, compiled);
-    }
-    let plan = plans.get_mut(&batch.tenant_index).and_then(Option::as_mut);
-
-    let outcome = tenant
-        .model()
-        .concat_batch(&refs)
-        .and_then(|t| match plan {
-            Some(p) => Ok(p.classify(&t)?),
-            None => tenant.model().classify(&t),
-        });
-    drop(refs);
-
-    match outcome {
-        Ok(preds) => {
-            locked(&tenant.cost).cost_batch(live.len());
-            let mut latency = locked(&tenant.latency);
-            let mut breaker = locked(&tenant.breaker);
-            for (req, pred) in live.iter().zip(preds) {
-                latency.record(req.enqueued.elapsed().as_micros() as u64);
-                tenant.completed.fetch_add(1, Ordering::Relaxed);
-                breaker.on_success();
-                let mut payload = Vec::with_capacity(12 + req.pad as usize);
-                payload.extend_from_slice(&(pred as u32).to_le_bytes());
-                payload.extend_from_slice(&req.user.to_le_bytes());
-                // Requested pad: zero filler that makes the reply bulky
-                // enough to exercise write-side backpressure.
-                payload.resize(12 + req.pad as usize, 0);
-                shared
-                    .responder
-                    .send(req.conn, Frame::response(batch.tenant, req.seq, payload).encode());
-            }
-        }
-        Err(e) => {
-            // A server-side model failure rejects every rider, typed.
-            let msg = format!("model failed: {e}");
-            for req in &live {
-                shared.responder.send(
-                    req.conn,
-                    Frame::reject(batch.tenant, req.seq, reject_payload(REJECT_MODEL, &msg))
-                        .encode(),
-                );
-            }
-            locked(&shared.errors).push(e);
-        }
-    }
-}
-
-/// A network worker: pop single-tenant fair batches until the queue
-/// closes, serving each through the owning tenant's model and cost lanes.
-fn net_worker_loop(shared: &NetShared) {
-    let mut plans: HashMap<usize, Option<CompiledModel>> = HashMap::new();
-    while let Some(batch) = shared.queue.pop_batch(shared.max_batch, shared.batch_deadline) {
-        serve_batch(shared, &mut plans, batch);
     }
 }
 

@@ -1,46 +1,69 @@
-//! The serving runtime: supervised worker pool, request lifecycle with
-//! deadline shedding and circuit-breaker admission, drain-at-shutdown.
+//! The serving core — one queue, one batch executor, one plan-only
+//! inference path — and the in-process front-end on top of it.
 //!
 //! ```text
-//!  submit() ─► breaker.admit ─► BoundedQueue ─► worker: pop_batch_with
-//!     │           │                  │             ├─ shed expired  ──► Err(DeadlineExceeded)
-//!     │      CircuitOpen        QueueFull          ├─ poisoned      ──► Err(WorkerPanicked) + panic
-//!     │                                            └─ healthy ─► infer ─► CostModel ─► Ok(Response)
-//!     └◄── ResponseHandle ◄── per-request mpsc<Result<Response, ServeError>>
+//!  Server::submit (owned Tensor) ──┐
+//!  NetServer admission (user id) ──┴─► breaker.admit ─► FairQueue (DRR lanes)
+//!                                                          │ pop_batch_with
+//!  worker_loop, per single-tenant batch:                   ▼
+//!    shed expired ─────────────► Err(DeadlineExceeded)
+//!    poisoned (rides alone) ───► Err(WorkerPanicked), then panic
+//!    inputs ─► concat ─► compiled plan ─► cost_batch ─► breaker ─► latency
+//!           ─► Ok(Response)
+//!  Rider::reply ─► mpsc ResponseHandle (in process) | Responder frame (TCP)
 //! ```
 //!
-//! Every degradation is a *typed* rejection delivered on the request's
-//! channel — a submitted request always learns its fate (success, shed,
+//! Both transports queue `Request`s on a [`FairQueue`] and run the same
+//! `worker_loop`; a transport only decides, through its `Rider`, how a
+//! request's input tensor is obtained and where its outcome goes. The
+//! in-process [`Server`] is a one-tenant registry on a one-lane queue.
+//!
+//! Every degradation is a *typed* rejection delivered to the request's
+//! rider — a submitted request always learns its fate (success, shed,
 //! panic, drain), never hangs. Workers run under `seal-pool`'s panic
 //! supervisor: an injected or organic panic is caught, the worker
 //! respawned (until its budget quarantines it), and the panic recorded in
 //! the final [`ServeStats`].
 
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use seal_faults::RequestFault;
+use seal_nn::CompiledModel;
 use seal_pool::{spawn_supervised, SupervisedWorker, SupervisorReport};
 use seal_tensor::{Shape, Tensor};
 
-use crate::breaker::{BreakerStats, CircuitBreaker};
-use crate::cost::{CostModel, FaultStats, SchemeSummary};
+use crate::breaker::BreakerStats;
+use crate::cost::{FaultStats, SchemeSummary};
+use crate::fair::{FairQueue, PushRefused};
 use crate::metrics::{BatchStats, LatencyHistogram, QueueDepthStats};
-use crate::queue::{BoundedQueue, PushRefused};
-use crate::{ServeError, ServedModel, ServerConfig};
+use crate::tenant::{TenantRegistry, TenantState};
+use crate::{locked, ServeError, ServedModel, ServerConfig};
 
-/// Poison-recovering lock: metrics and cost state stay valid after any
-/// worker panic, so the guard is always usable.
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// The transport half of a queued request: where its input tensor comes
+/// from and where its outcome goes.
+pub(crate) trait Rider: Debug + Send + Sized + 'static {
+    /// What outcomes are delivered through: nothing in process (each
+    /// rider owns its channel), the reactor's mailbox over TCP.
+    type Sink: Debug + Send + Sync;
+
+    /// The request's `[1, …]` input for `model`.
+    fn input(&self, model: &ServedModel) -> Cow<'_, Tensor>;
+
+    /// Delivers the outcome of request `id`; `tenant` is the serving
+    /// tenant's wire id.
+    fn reply(self, sink: &Self::Sink, tenant: u32, id: u64, outcome: Result<Response, ServeError>);
 }
 
-/// One queued inference request.
+/// One queued request: the bookkeeping both transports share plus the
+/// transport's rider.
 #[derive(Debug)]
-struct Request {
-    id: u64,
-    input: Tensor,
+pub(crate) struct Request<R> {
+    pub(crate) id: u64,
     enqueued: Instant,
     /// Absolute shed deadline; `None` = serve no matter how late. An
     /// injected deadline-bust request is born with `deadline == enqueued`,
@@ -48,7 +71,261 @@ struct Request {
     deadline: Option<Instant>,
     /// Chaos fault riding on this request, if any.
     fault: Option<RequestFault>,
+    pub(crate) rider: R,
+}
+
+impl<R> Request<R> {
+    /// A request enqueued now, shed once it has waited `request_deadline`
+    /// (`ZERO` disables shedding) — or at once if `fault` is a deadline
+    /// bust.
+    pub(crate) fn new(
+        id: u64,
+        rider: R,
+        fault: Option<RequestFault>,
+        request_deadline: Duration,
+    ) -> Self {
+        let enqueued = Instant::now();
+        let deadline = if fault == Some(RequestFault::DeadlineBust) {
+            Some(enqueued)
+        } else if request_deadline > Duration::ZERO {
+            Some(enqueued + request_deadline)
+        } else {
+            None
+        };
+        Request {
+            id,
+            enqueued,
+            deadline,
+            fault,
+            rider,
+        }
+    }
+
+    fn poisoned(&self) -> bool {
+        self.fault == Some(RequestFault::WorkerPanic)
+    }
+}
+
+/// Everything the workers of one server share.
+#[derive(Debug)]
+pub(crate) struct Core<R: Rider> {
+    pub(crate) registry: Arc<TenantRegistry>,
+    pub(crate) queue: Arc<FairQueue<Request<R>>>,
+    pub(crate) sink: R::Sink,
+    errors: Mutex<Vec<ServeError>>,
+    panicked: AtomicU64,
+    max_batch: usize,
+    batch_deadline: Duration,
+    slow_delay: Duration,
+}
+
+impl<R: Rider> Core<R> {
+    pub(crate) fn new(
+        registry: Arc<TenantRegistry>,
+        queue: Arc<FairQueue<Request<R>>>,
+        sink: R::Sink,
+        config: &ServerConfig,
+    ) -> Self {
+        Core {
+            registry,
+            queue,
+            sink,
+            errors: Mutex::new(Vec::new()),
+            panicked: AtomicU64::new(0),
+            max_batch: config.max_batch,
+            batch_deadline: config.batch_deadline,
+            slow_delay: config.chaos_slow_delay,
+        }
+    }
+
+    /// Spawns `config.workers` supervised [`worker_loop`]s named
+    /// `{name}-{i}`.
+    pub(crate) fn spawn_workers(
+        self: &Arc<Self>,
+        name: &str,
+        config: &ServerConfig,
+    ) -> Result<Vec<SupervisedWorker>, ServeError> {
+        (0..config.workers)
+            .map(|i| {
+                let core = Arc::clone(self);
+                spawn_supervised(
+                    format!("{name}-{i}"),
+                    config.worker_respawn_budget,
+                    move || worker_loop(&core),
+                )
+                .map_err(|e| ServeError::WorkerSpawn {
+                    worker: i,
+                    source: e,
+                })
+            })
+            .collect()
+    }
+
+    /// Drains the worker errors recorded so far.
+    pub(crate) fn take_errors(&self) -> Vec<ServeError> {
+        std::mem::take(&mut *locked(&self.errors))
+    }
+
+    /// Answers every request still queued with a typed
+    /// [`ServeError::DrainedAtShutdown`], counted in its tenant's
+    /// `rejected_drain`; returns how many there were. Nothing queued is
+    /// ever silently dropped.
+    pub(crate) fn reject_queued(&self) -> u64 {
+        let mut rejected = 0;
+        for batch in self.queue.drain_remaining() {
+            let tenant = self.registry.by_index(batch.tenant_index);
+            for request in batch.items {
+                rejected += 1;
+                tenant.rejected_drain.fetch_add(1, Ordering::Relaxed);
+                let (id, rider) = (request.id, request.rider);
+                let drained = Err(ServeError::DrainedAtShutdown { request_id: id });
+                rider.reply(&self.sink, batch.tenant, id, drained);
+            }
+        }
+        rejected
+    }
+}
+
+/// Joins every worker, merging their supervision reports.
+pub(crate) fn join_workers(workers: Vec<SupervisedWorker>) -> SupervisorReport {
+    let mut supervision = SupervisorReport::default();
+    for w in workers {
+        let report = w.join();
+        supervision.panics += report.panics;
+        supervision.respawns += report.respawns;
+        supervision.quarantined |= report.quarantined;
+        if report.last_panic.is_some() {
+            supervision.last_panic = report.last_panic;
+        }
+    }
+    supervision
+}
+
+/// The one batch executor: pop a single-tenant batch, shed the expired,
+/// honour planned faults, classify the rest through the tenant's compiled
+/// plan, price the batch on the tenant's cost lanes, answer every rider.
+/// Runs until the queue is closed and drained.
+pub(crate) fn worker_loop<R: Rider>(core: &Core<R>) {
+    let (max_batch, deadline) = (core.max_batch, core.batch_deadline);
+    // One plan per tenant this worker serves, owned by the worker so its
+    // packed weights and arena stay warm on one core; rebuilt after a
+    // supervised respawn.
+    let mut plans: HashMap<usize, CompiledModel> = HashMap::new();
+    let poisoned = Request::poisoned;
+    while let Some(batch) = core.queue.pop_batch_with(max_batch, deadline, poisoned) {
+        let tenant: &TenantState = core.registry.by_index(batch.tenant_index);
+        let reply = |request: Request<R>, outcome| {
+            let id = request.id;
+            request.rider.reply(&core.sink, batch.tenant, id, outcome);
+        };
+        let picked_up = Instant::now();
+        // Load shedding: an expired request gets a typed rejection and the
+        // breaker hears about it; it never holds up the healthy remainder.
+        let mut live = Vec::with_capacity(batch.items.len());
+        for request in batch.items {
+            match request.deadline {
+                Some(dl) if picked_up >= dl => {
+                    tenant.shed.fetch_add(1, Ordering::Relaxed);
+                    locked(&tenant.breaker).on_shed();
+                    let shed = ServeError::DeadlineExceeded {
+                        request_id: request.id,
+                        waited: picked_up.duration_since(request.enqueued),
+                        deadline: dl.duration_since(request.enqueued),
+                    };
+                    reply(request, Err(shed));
+                }
+                _ => live.push(request),
+            }
+        }
+        let Some(first) = live.first() else { continue };
+        // Poisoned requests arrive as singleton batches (queue barrier).
+        // The rider is told *before* the panic unwinds, so it can never
+        // hang on a dead worker; the supervisor respawns this loop.
+        if first.poisoned() {
+            let request = live.swap_remove(0);
+            let request_id = request.id;
+            core.panicked.fetch_add(1, Ordering::Relaxed);
+            reply(request, Err(ServeError::WorkerPanicked { request_id }));
+            // This panic IS the injected fault — the supervisor's
+            // catch/respawn path is the code under test.
+            // seal-lint: allow(panic, panic-freedom)
+            panic!("injected panic serving request {request_id}");
+        }
+        // An injected slow request inflates its whole batch's service time.
+        if core.slow_delay > Duration::ZERO
+            && live.iter().any(|r| r.fault == Some(RequestFault::Slow))
+        {
+            std::thread::sleep(core.slow_delay);
+        }
+        let batch_size = live.len();
+        let inputs: Vec<Cow<'_, Tensor>> =
+            live.iter().map(|r| r.rider.input(tenant.model())).collect();
+        let refs: Vec<&Tensor> = inputs.iter().map(|t| t.as_ref()).collect();
+        let outcome = tenant.model().concat_batch(&refs).and_then(|t| {
+            let plan = match plans.entry(batch.tenant_index) {
+                Entry::Occupied(slot) => slot.into_mut(),
+                Entry::Vacant(slot) => slot.insert(tenant.plan()?),
+            };
+            Ok(plan.classify(&t)?)
+        });
+        drop(refs);
+        drop(inputs);
+        let predictions = match outcome {
+            Ok(predictions) => predictions,
+            Err(e) => {
+                // The batch dies, typed; the worker lives on.
+                for request in live {
+                    let request_id = request.id;
+                    reply(request, Err(ServeError::WorkerLost { request_id }));
+                }
+                locked(&core.errors).push(e);
+                continue;
+            }
+        };
+        locked(&tenant.cost).cost_batch(batch_size);
+        locked(&tenant.batches).observe(batch_size);
+        locked(&tenant.breaker).on_success();
+        let done = Instant::now();
+        let mut latency = locked(&tenant.latency);
+        for request in &live {
+            latency.record(done.duration_since(request.enqueued).as_micros() as u64);
+        }
+        drop(latency);
+        let completed = batch_size as u64;
+        tenant.completed.fetch_add(completed, Ordering::Relaxed);
+        for (request, prediction) in live.into_iter().zip(predictions) {
+            let response = Response {
+                id: request.id,
+                prediction,
+                batch_size,
+                queue_wait: picked_up.duration_since(request.enqueued),
+                latency: done.duration_since(request.enqueued),
+            };
+            reply(request, Ok(response));
+        }
+    }
+}
+
+/// The in-process rider: an owned input tensor and the channel its
+/// [`ResponseHandle`] waits on.
+#[derive(Debug)]
+struct Local {
+    input: Tensor,
     tx: mpsc::Sender<Result<Response, ServeError>>,
+}
+
+impl Rider for Local {
+    type Sink = ();
+
+    fn input(&self, _model: &ServedModel) -> Cow<'_, Tensor> {
+        Cow::Borrowed(&self.input)
+    }
+
+    fn reply(self, _: &(), _tenant: u32, _id: u64, outcome: Result<Response, ServeError>) {
+        // A dropped handle is fine — the server-side stats already
+        // recorded the request.
+        let _ = self.tx.send(outcome);
+    }
 }
 
 /// The answer to one request.
@@ -86,7 +363,8 @@ impl ResponseHandle {
     /// The request's typed fate: [`ServeError::DeadlineExceeded`] if shed,
     /// [`ServeError::WorkerPanicked`] if its worker hit a planned panic,
     /// [`ServeError::DrainedAtShutdown`] if shutdown drained it, or
-    /// [`ServeError::WorkerLost`] if the worker died without answering.
+    /// [`ServeError::WorkerLost`] if its batch failed or the worker died
+    /// without answering.
     pub fn wait(self) -> Result<Response, ServeError> {
         self.rx
             .recv()
@@ -113,21 +391,6 @@ impl ResponseHandle {
             }
         }
     }
-}
-
-/// Everything the workers share.
-#[derive(Debug)]
-struct Shared {
-    queue: BoundedQueue<Request>,
-    model: ServedModel,
-    cost: Mutex<CostModel>,
-    latency: Mutex<LatencyHistogram>,
-    batches: Mutex<BatchStats>,
-    errors: Mutex<Vec<ServeError>>,
-    breaker: Mutex<CircuitBreaker>,
-    shed: AtomicU64,
-    panicked: AtomicU64,
-    slow_delay: Duration,
 }
 
 /// Final runtime statistics returned by [`Server::shutdown`].
@@ -163,23 +426,26 @@ pub struct ServeStats {
     pub faults: Option<FaultStats>,
 }
 
-/// A running inference server.
+/// A running in-process inference server: the serving core over a
+/// one-tenant registry and a one-lane queue.
 #[derive(Debug)]
 pub struct Server {
-    shared: Arc<Shared>,
+    shared: Arc<Core<Local>>,
     workers: Vec<SupervisedWorker>,
     next_id: AtomicU64,
     config: ServerConfig,
 }
 
 impl Server {
-    /// Validates `config`, loads the model, builds the per-scheme cost
-    /// lanes and spawns the supervised worker pool.
+    /// Validates `config`, loads the model, compiles its inference plan,
+    /// builds the per-scheme cost lanes and spawns the supervised worker
+    /// pool.
     ///
     /// # Errors
     ///
-    /// Propagates configuration, model-zoo and cost-model failures;
-    /// [`ServeError::WorkerSpawn`] if a worker thread cannot start.
+    /// Propagates configuration, model-zoo, plan-compilation and
+    /// cost-model failures; [`ServeError::WorkerSpawn`] if a worker thread
+    /// cannot start.
     pub fn start(config: ServerConfig) -> Result<Self, ServeError> {
         config.validate()?;
         if config.kernel_threads > 0 {
@@ -189,41 +455,10 @@ impl Server {
             // because outputs are thread-count independent.
             let _ = seal_pool::configure(config.kernel_threads);
         }
-        let model = ServedModel::load(&config.model, config.seed)?;
-        let cost = CostModel::new(model.topology(), &config)?;
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
-            model,
-            cost: Mutex::new(cost),
-            latency: Mutex::new(LatencyHistogram::new()),
-            batches: Mutex::new(BatchStats::default()),
-            errors: Mutex::new(Vec::new()),
-            breaker: Mutex::new(CircuitBreaker::new(
-                config.breaker_trip_threshold,
-                config.breaker_probe_interval,
-            )),
-            shed: AtomicU64::new(0),
-            panicked: AtomicU64::new(0),
-            slow_delay: config.chaos_slow_delay,
-        });
-        let workers = (0..config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let max_batch = config.max_batch;
-                let deadline = config.batch_deadline;
-                let use_plan = config.use_plan;
-                let quantized = config.quantized;
-                spawn_supervised(
-                    format!("seal-serve-worker-{i}"),
-                    config.worker_respawn_budget,
-                    move || worker_loop(&shared, max_batch, deadline, use_plan, quantized),
-                )
-                .map_err(|e| ServeError::WorkerSpawn {
-                    worker: i,
-                    source: e,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let registry = Arc::new(TenantRegistry::single(&config)?);
+        let queue = Arc::new(FairQueue::one_lane(config.queue_capacity, config.max_batch));
+        let shared = Arc::new(Core::new(registry, queue, (), &config));
+        let workers = shared.spawn_workers("seal-serve-worker", &config)?;
         Ok(Server {
             shared,
             workers,
@@ -237,14 +472,18 @@ impl Server {
         &self.config
     }
 
+    fn tenant(&self) -> &TenantState {
+        self.shared.registry.by_index(0)
+    }
+
     /// Per-sample input shape requests must match.
     pub fn input_shape(&self) -> &Shape {
-        self.shared.model.input_shape()
+        self.tenant().model().input_shape()
     }
 
     /// Draws a deterministic random request input for this model.
     pub fn sample_input(&self, rng: &mut seal_tensor::rng::rngs::StdRng) -> Tensor {
-        self.shared.model.sample(rng)
+        self.tenant().model().sample(rng)
     }
 
     /// Submits one sample for classification.
@@ -272,36 +511,22 @@ impl Server {
         input: Tensor,
         fault: Option<RequestFault>,
     ) -> Result<ResponseHandle, ServeError> {
-        if input.shape() != self.shared.model.input_shape() {
+        if input.shape() != self.input_shape() {
             return Err(ServeError::ShapeMismatch {
                 got: input.shape().to_string(),
-                want: self.shared.model.input_shape().to_string(),
+                want: self.input_shape().to_string(),
             });
         }
-        locked(&self.shared.breaker)
+        locked(&self.tenant().breaker)
             .admit()
             .map_err(|shed_streak| ServeError::CircuitOpen { shed_streak })?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        let enqueued = Instant::now();
-        let deadline = if fault == Some(RequestFault::DeadlineBust) {
-            Some(enqueued)
-        } else if self.config.request_deadline > Duration::ZERO {
-            Some(enqueued + self.config.request_deadline)
-        } else {
-            None
-        };
-        let request = Request {
-            id,
-            input,
-            enqueued,
-            deadline,
-            fault,
-            tx,
-        };
-        self.shared.queue.try_push(request).map_err(|(_, why)| match why {
+        let request = Request::new(id, Local { input, tx }, fault, self.config.request_deadline);
+        let queue = &self.shared.queue;
+        queue.try_push(0, request).map_err(|(_, why)| match why {
             PushRefused::Full => ServeError::QueueFull {
-                capacity: self.shared.queue.capacity(),
+                capacity: queue.per_tenant_capacity(),
             },
             PushRefused::Closed => ServeError::ShuttingDown,
         })?;
@@ -323,152 +548,29 @@ impl Server {
     /// encountered while serving are reported in
     /// [`ServeStats::worker_errors`] and [`ServeStats::supervision`].
     pub fn shutdown(self) -> Result<ServeStats, ServeError> {
-        self.shared.queue.close();
-        let mut supervision = SupervisorReport::default();
-        for w in self.workers {
-            let report = w.join();
-            supervision.panics += report.panics;
-            supervision.respawns += report.respawns;
-            supervision.quarantined |= report.quarantined;
-            if report.last_panic.is_some() {
-                supervision.last_panic = report.last_panic;
-            }
-        }
+        let queue = &self.shared.queue;
+        queue.close();
+        let supervision = join_workers(self.workers);
         // Workers drain the closed queue before exiting, so leftovers only
-        // exist when every worker quarantined; they are rejected with a
-        // typed error, never silently dropped.
-        let leftovers = self.shared.queue.drain_remaining();
-        let drained = leftovers.len() as u64;
-        for request in leftovers {
-            let _ = request.tx.send(Err(ServeError::DrainedAtShutdown {
-                request_id: request.id,
-            }));
-        }
-        let latency = locked(&self.shared.latency).clone();
-        let batches = *locked(&self.shared.batches);
-        let cost = locked(&self.shared.cost);
-        let schemes = cost.summaries();
-        let faults = cost.fault_stats();
+        // exist when every worker quarantined.
+        let drained = self.shared.reject_queued();
+        let tenant = self.shared.registry.by_index(0);
+        let cost = locked(&tenant.cost);
+        let (schemes, faults) = (cost.summaries(), cost.fault_stats());
         drop(cost);
-        let worker_errors = std::mem::take(&mut *locked(&self.shared.errors));
         Ok(ServeStats {
-            latency,
-            batches,
-            queue_depth: self.shared.queue.depth_stats(),
+            latency: locked(&tenant.latency).clone(),
+            batches: *locked(&tenant.batches),
+            queue_depth: queue.depth_stats(),
             schemes,
-            worker_errors,
-            shed: self.shared.shed.load(Ordering::Relaxed),
+            worker_errors: self.shared.take_errors(),
+            shed: tenant.shed.load(Ordering::Relaxed),
             panicked: self.shared.panicked.load(Ordering::Relaxed),
             drained,
             supervision,
-            breaker: locked(&self.shared.breaker).stats(),
+            breaker: locked(&tenant.breaker).stats(),
             faults,
         })
-    }
-}
-
-/// A worker: assemble a batch, shed the expired, honour planned faults,
-/// run the rest, price them, answer every rider.
-///
-/// With `use_plan` the worker compiles one inference plan at startup
-/// (weights pre-packed, arena pre-sized; rebuilt after a supervised
-/// respawn) and serves every batch through it — bitwise identical
-/// predictions, no steady-state allocation. A plan that fails to compile
-/// is recorded once and the worker falls back to `forward_infer`.
-/// With `quantized` the plan runs the deterministic int8 path instead
-/// (bounded quantization error, lanes priced at int8 traffic).
-fn worker_loop(
-    shared: &Shared,
-    max_batch: usize,
-    deadline: Duration,
-    use_plan: bool,
-    quantized: bool,
-) {
-    let mut plan = if use_plan {
-        match shared.model.compile_plan(max_batch, quantized) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                locked(&shared.errors).push(e);
-                None
-            }
-        }
-    } else {
-        None
-    };
-    let poisoned = |r: &Request| r.fault == Some(RequestFault::WorkerPanic);
-    while let Some(batch) = shared.queue.pop_batch_with(max_batch, deadline, poisoned) {
-        let picked_up = Instant::now();
-        // Load shedding: an expired request gets a typed rejection and the
-        // breaker hears about it; it never holds up the healthy remainder.
-        let mut live = Vec::with_capacity(batch.len());
-        for request in batch {
-            match request.deadline {
-                Some(dl) if picked_up >= dl => {
-                    shared.shed.fetch_add(1, Ordering::Relaxed);
-                    locked(&shared.breaker).on_shed();
-                    let _ = request.tx.send(Err(ServeError::DeadlineExceeded {
-                        request_id: request.id,
-                        waited: picked_up.duration_since(request.enqueued),
-                        deadline: dl.duration_since(request.enqueued),
-                    }));
-                }
-                _ => live.push(request),
-            }
-        }
-        let Some(first) = live.first() else { continue };
-        // Poisoned requests arrive as singleton batches (queue barrier).
-        // The rider is told *before* the panic unwinds, so it can never
-        // hang on a dead worker; the supervisor respawns this loop.
-        if poisoned(first) {
-            let request = live.swap_remove(0);
-            shared.panicked.fetch_add(1, Ordering::Relaxed);
-            let _ = request.tx.send(Err(ServeError::WorkerPanicked {
-                request_id: request.id,
-            }));
-            // This panic IS the injected fault — the supervisor's
-            // catch/respawn path is the code under test.
-            // seal-lint: allow(panic, panic-freedom)
-            panic!("injected panic serving request {}", request.id);
-        }
-        // An injected slow request inflates its whole batch's service time.
-        if shared.slow_delay > Duration::ZERO
-            && live.iter().any(|r| r.fault == Some(RequestFault::Slow))
-        {
-            std::thread::sleep(shared.slow_delay);
-        }
-        let batch_size = live.len();
-        let inputs: Vec<&Tensor> = live.iter().map(|r| &r.input).collect();
-        let outcome = shared.model.concat_batch(&inputs).and_then(|t| match plan.as_mut() {
-            Some(p) => Ok(p.classify(&t)?),
-            None => shared.model.classify(&t),
-        });
-        drop(inputs);
-        match outcome {
-            Ok(predictions) => {
-                locked(&shared.cost).cost_batch(batch_size);
-                locked(&shared.batches).observe(batch_size);
-                locked(&shared.breaker).on_success();
-                let done = Instant::now();
-                for (request, prediction) in live.into_iter().zip(predictions) {
-                    let latency = done.duration_since(request.enqueued);
-                    locked(&shared.latency).record(latency.as_micros() as u64);
-                    // A dropped handle is fine — the server-side stats
-                    // above already recorded the request.
-                    let _ = request.tx.send(Ok(Response {
-                        id: request.id,
-                        prediction,
-                        batch_size,
-                        queue_wait: picked_up.duration_since(request.enqueued),
-                        latency,
-                    }));
-                }
-            }
-            Err(e) => {
-                // Dropping the requests' senders wakes every rider with
-                // `WorkerLost`; the batch dies, the worker lives on.
-                locked(&shared.errors).push(e);
-            }
-        }
     }
 }
 
@@ -512,37 +614,30 @@ mod tests {
     }
 
     #[test]
-    fn planned_and_unplanned_predictions_are_identical() {
-        // Serving plans are compiled without fusion, so the planned path
-        // must be bitwise identical to `forward_infer` — same predictions
-        // for the same weights and inputs, on every zoo model.
+    fn served_predictions_match_the_reference_classifier() {
+        // Serving plans are compiled without fusion, so a served
+        // prediction must equal `ServedModel::classify` (`forward_infer`)
+        // on the same weights and input, on every zoo model. Requests go
+        // one at a time so both sides see the same batch of one.
         for model in crate::ZOO {
-            let mut answers = Vec::new();
-            for use_plan in [false, true] {
-                let config = ServerConfig {
-                    model: model.into(),
-                    use_plan,
-                    ..mlp_config()
-                };
-                let server = Server::start(config).unwrap();
-                let mut rng = StdRng::seed_from_u64(99);
-                let preds: Vec<usize> = (0..6)
-                    .map(|_| server.submit(server.sample_input(&mut rng)).unwrap())
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.wait().unwrap().prediction)
-                    .collect();
-                let stats = server.shutdown().unwrap();
-                assert!(
-                    stats.worker_errors.is_empty(),
-                    "{model}: plan compile/serve errors: {:?}",
-                    stats.worker_errors
-                );
-                answers.push(preds);
+            let config = ServerConfig {
+                model: model.into(),
+                ..mlp_config()
+            };
+            let reference = ServedModel::load(model, config.seed).unwrap();
+            let server = Server::start(config).unwrap();
+            let mut rng = StdRng::seed_from_u64(99);
+            for _ in 0..6 {
+                let input = server.sample_input(&mut rng);
+                let want = reference.classify(&input).unwrap();
+                let served = server.submit(input).unwrap().wait().unwrap();
+                assert_eq!(vec![served.prediction], want, "{model}");
             }
-            assert_eq!(
-                answers[0], answers[1],
-                "{model}: planned predictions diverge from unplanned"
+            let stats = server.shutdown().unwrap();
+            assert!(
+                stats.worker_errors.is_empty(),
+                "{model}: serve errors: {:?}",
+                stats.worker_errors
             );
         }
     }

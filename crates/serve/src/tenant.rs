@@ -15,18 +15,23 @@
 //! The registry is immutable after construction — workers look tenants up
 //! by id and mutate only the per-tenant locked state, so no request ever
 //! touches another tenant's key, counters or statistics.
+//!
+//! [`TenantState`] is also the in-process [`Server`](crate::Server)'s
+//! per-model state: a one-tenant registry whose model uses `config.seed`
+//! directly and whose cost lanes use the global address window.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use seal_crypto::{TenantCrypto, MAX_TENANTS};
+use seal_nn::CompiledModel;
 
 use crate::breaker::CircuitBreaker;
 use crate::cost::CostModel;
-use crate::metrics::LatencyHistogram;
+use crate::metrics::{BatchStats, LatencyHistogram};
 use crate::model::ServedModel;
-use crate::{ServeError, ServerConfig};
+use crate::{locked, ServeError, ServerConfig};
 
 /// One round of splitmix64, used to derive per-tenant weight seeds.
 fn splitmix64(mut z: u64) -> u64 {
@@ -69,12 +74,19 @@ impl TenantSpec {
 #[derive(Debug)]
 pub struct TenantState {
     spec: TenantSpec,
-    crypto: TenantCrypto,
+    crypto: Option<TenantCrypto>,
     model: ServedModel,
+    /// The plan compiled at construction, until the first worker serving
+    /// this tenant claims it.
+    spare_plan: Mutex<Option<CompiledModel>>,
+    max_batch: usize,
+    quantized: bool,
     /// Per-tenant scheme lanes, all addresses inside the tenant's window.
     pub cost: Mutex<CostModel>,
     /// Server-side latency of this tenant's completed requests.
     pub latency: Mutex<LatencyHistogram>,
+    /// Sizes of the batches served for this tenant.
+    pub batches: Mutex<BatchStats>,
     /// Per-tenant admission breaker.
     pub breaker: Mutex<CircuitBreaker>,
     /// Requests served to completion.
@@ -92,19 +104,77 @@ pub struct TenantState {
 }
 
 impl TenantState {
+    /// Loads the model under `weight_seed`, builds its cost lanes (inside
+    /// `crypto`'s counter window, or the global window without one) and
+    /// compiles its first inference plan.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model, cost-model and plan-compilation failures, so a
+    /// model that cannot be planned fails server start, typed.
+    fn new(
+        spec: TenantSpec,
+        crypto: Option<TenantCrypto>,
+        weight_seed: u64,
+        config: &ServerConfig,
+    ) -> Result<Self, ServeError> {
+        let model = ServedModel::load(&config.model, weight_seed)?;
+        let cost = match &crypto {
+            Some(c) => CostModel::for_tenant(model.topology(), config, c)?,
+            None => CostModel::new(model.topology(), config)?,
+        };
+        let plan = model.compile_plan(config.max_batch, config.quantized)?;
+        Ok(TenantState {
+            spec,
+            crypto,
+            model,
+            spare_plan: Mutex::new(Some(plan)),
+            max_batch: config.max_batch,
+            quantized: config.quantized,
+            cost: Mutex::new(cost),
+            latency: Mutex::new(LatencyHistogram::new()),
+            batches: Mutex::new(BatchStats::default()),
+            breaker: Mutex::new(CircuitBreaker::new(
+                config.breaker_trip_threshold,
+                config.breaker_probe_interval,
+            )),
+            completed: AtomicU64::new(0),
+            rejected_queue_full: AtomicU64::new(0),
+            rejected_breaker: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            rejected_drain: AtomicU64::new(0),
+        })
+    }
+
     /// The tenant's static spec (id and weight).
     pub fn spec(&self) -> TenantSpec {
         self.spec
     }
 
-    /// The tenant's isolated key material and counter window.
-    pub fn crypto(&self) -> &TenantCrypto {
-        &self.crypto
+    /// The tenant's isolated key material and counter window (`None` for
+    /// the in-process server's single model).
+    pub fn crypto(&self) -> Option<&TenantCrypto> {
+        self.crypto.as_ref()
     }
 
     /// The tenant's private model (per-tenant weights).
     pub fn model(&self) -> &ServedModel {
         &self.model
+    }
+
+    /// A compiled plan for one worker's own use: the one compiled at
+    /// construction if no worker has claimed it yet, else a fresh one.
+    /// Unfused f32 plans are bitwise identical to
+    /// [`ServedModel::classify`]; quantized plans run the int8 path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates plan-compilation failures.
+    pub(crate) fn plan(&self) -> Result<CompiledModel, ServeError> {
+        match locked(&self.spare_plan).take() {
+            Some(plan) => Ok(plan),
+            None => self.model.compile_plan(self.max_batch, self.quantized),
+        }
     }
 }
 
@@ -161,26 +231,27 @@ impl TenantRegistry {
             }
             let crypto = TenantCrypto::derive(master_seed, spec.tenant)?;
             let weight_seed = splitmix64(config.seed ^ u64::from(spec.tenant));
-            let model = ServedModel::load(&config.model, weight_seed)?;
-            let cost = CostModel::for_tenant(model.topology(), config, &crypto)?;
-            tenants.push(TenantState {
-                spec: *spec,
-                crypto,
-                model,
-                cost: Mutex::new(cost),
-                latency: Mutex::new(LatencyHistogram::new()),
-                breaker: Mutex::new(CircuitBreaker::new(
-                    config.breaker_trip_threshold,
-                    config.breaker_probe_interval,
-                )),
-                completed: AtomicU64::new(0),
-                rejected_queue_full: AtomicU64::new(0),
-                rejected_breaker: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-                rejected_drain: AtomicU64::new(0),
-            });
+            tenants.push(TenantState::new(*spec, Some(crypto), weight_seed, config)?);
         }
         Ok(TenantRegistry { tenants, by_id })
+    }
+
+    /// The in-process server's registry: one tenant (id 0, weight 1)
+    /// whose weights use `config.seed` directly and whose cost lanes use
+    /// the global address window, exactly as a single-model server.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model, cost-model and plan-compilation failures.
+    pub(crate) fn single(config: &ServerConfig) -> Result<Self, ServeError> {
+        let spec = TenantSpec {
+            tenant: 0,
+            weight: 1,
+        };
+        Ok(TenantRegistry {
+            tenants: vec![TenantState::new(spec, None, config.seed, config)?],
+            by_id: HashMap::from([(0, 0)]),
+        })
     }
 
     /// Number of registered tenants.
@@ -230,14 +301,7 @@ impl TenantRegistry {
         let per_tenant: Vec<_> = self
             .tenants
             .iter()
-            .map(|t| {
-                // Recover the guard from a possibly-poisoned mutex — the
-                // cost model is plain data, same idiom as the worker path.
-                t.cost
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .summaries()
-            })
+            .map(|t| locked(&t.cost).summaries())
             .collect();
         crate::cost::SchemeSummary::aggregate(&per_tenant)
     }
@@ -280,9 +344,10 @@ mod tests {
         for i in 0..4 {
             for j in (i + 1)..4 {
                 let (a, b) = (reg.by_index(i), reg.by_index(j));
-                assert_ne!(a.crypto().key(), b.crypto().key());
-                assert_ne!(a.crypto().nonce(), b.crypto().nonce());
-                assert!(!a.crypto().owns_address(b.crypto().counter_base()));
+                let (a, b) = (a.crypto().unwrap(), b.crypto().unwrap());
+                assert_ne!(a.key(), b.key());
+                assert_ne!(a.nonce(), b.nonce());
+                assert!(!a.owns_address(b.counter_base()));
             }
         }
         // Per-tenant weight seeds: tenants classify the same input

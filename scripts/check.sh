@@ -18,6 +18,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+# The benchmark harness is a workspace of its own (perfbench/Cargo.toml)
+# built against the serve/net/nn APIs by path, so a public-API change
+# that breaks it must fail here, not only when the benchmark next runs.
+echo "==> perfbench tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # All three analysis layers over the full workspace. The deep passes run
 # against the committed baseline (analyze_baseline.txt — empty: the tree
 # carries zero known findings) with --fail-on=new, so any regression
