@@ -54,6 +54,7 @@ impl Default for TaintSpec {
                 "EnginePipeline::submit",
                 "EnginePipeline::submit_with_recovery",
                 "Workload::trace",
+                "Workload::request_stream",
             ]),
             sanitizers: s(&[
                 "CtrCipher::encrypt",
@@ -292,6 +293,30 @@ fn emit(l: &Linear, e: &mut EnginePipeline) { let n = relay(l); e.submit(n as u6
                 "demo::relay",
                 "demo::emit",
                 "demo::EnginePipeline::submit"
+            ]
+        );
+    }
+
+    #[test]
+    fn weights_reaching_the_gpusim_request_stream_are_reported() {
+        let src = "\
+struct Linear;\nimpl Linear {\n  pub fn weights(&self) -> &[f32] { &[] }\n}\n\
+struct Workload;\nimpl Workload {\n  pub fn request_stream(&self, line: u64) -> u64 { line }\n}\n\
+fn replay_weights(l: &Linear, w: &Workload) -> u64 {\n\
+  let n = l.weights().len() as u64;\n\
+  w.request_stream(n)\n\
+}\n";
+        let files = vec![parse_file("demo/src/lib.rs", src)];
+        let g = CallGraph::build(&files);
+        let findings = taint_pass(&files, &g, &TaintSpec::default());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        let chain: Vec<&str> = findings[0].chain.iter().map(|h| h.qual.as_str()).collect();
+        assert_eq!(
+            chain,
+            vec![
+                "demo::Linear::weights",
+                "demo::replay_weights",
+                "demo::Workload::request_stream"
             ]
         );
     }

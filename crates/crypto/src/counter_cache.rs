@@ -321,6 +321,41 @@ struct RoSlot {
     corrupt: bool,
 }
 
+/// Exact `u64` division by a divisor fixed up front, as two 64×64-bit
+/// multiplies instead of a hardware divide. With `m = ⌈2^128 / d⌉`,
+/// `⌊n·m / 2^128⌋ = ⌊n / d⌋` for every 64-bit `n` and `d ≥ 1` (Lemire,
+/// Kaser & Kurz, "Faster remainder by direct computation", 2019, Thm. 1:
+/// `m·d − 2^128 < d ≤ 2^64`).
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    /// `⌈2^128 / d⌉ mod 2^128`: zero for `d = 1`, where `m` is exactly
+    /// `2^128` and the quotient is `n` itself.
+    m: u128,
+    /// All ones when `d = 1`: adds back the `2^128·n / 2^128 = n` that the
+    /// wrapped `m` dropped.
+    unit: u64,
+}
+
+impl Divisor {
+    /// `d` must be positive.
+    fn new(d: u64) -> Self {
+        Divisor {
+            d,
+            m: (u128::MAX / u128::from(d)).wrapping_add(1),
+            unit: if d == 1 { u64::MAX } else { 0 },
+        }
+    }
+
+    /// `n / d`: the top 64 bits of the 192-bit product `n·m`.
+    fn div(&self, n: u64) -> u64 {
+        let n128 = u128::from(n);
+        let lo = u128::from(self.m as u64) * n128;
+        let hi = (self.m >> 64) * n128;
+        (((hi + (lo >> 64)) >> 64) as u64) + (n & self.unit)
+    }
+}
+
 /// A set-associative LRU counter cache.
 ///
 /// ```
@@ -336,6 +371,9 @@ struct RoSlot {
 #[derive(Debug, Clone)]
 pub struct CounterCache {
     config: CounterCacheConfig,
+    /// `addr / coverage_bytes` and `line_id / sets`, precomputed.
+    coverage: Divisor,
+    num_sets: Divisor,
     sets: Vec<Vec<Way>>,
     ro: Vec<RoSlot>,
     tick: u64,
@@ -401,6 +439,8 @@ impl CounterCache {
         }
         Ok(CounterCache {
             config,
+            coverage: Divisor::new(config.coverage_bytes as u64),
+            num_sets: Divisor::new(sets as u64),
             sets: vec![
                 vec![
                     Way {
@@ -439,9 +479,9 @@ impl CounterCache {
 
     /// Set index and tag of the counter line covering `addr`.
     fn locate(&self, addr: u64) -> (usize, u64) {
-        let line_id = addr / self.config.coverage_bytes as u64;
-        let num_sets = self.sets.len() as u64;
-        ((line_id % num_sets) as usize, line_id / num_sets)
+        let line_id = self.coverage.div(addr);
+        let tag = self.num_sets.div(line_id);
+        ((line_id - tag * self.num_sets.d) as usize, tag)
     }
 
     /// Looks up the counter line covering data address `addr`, allocating it
@@ -532,7 +572,7 @@ impl CounterCache {
         };
         let hit = hit_way.is_some();
         if self.config.prefetch && stream_next {
-            self.prefetch_fill(addr / self.config.coverage_bytes as u64 + 1);
+            self.prefetch_fill(self.coverage.div(addr) + 1);
         }
         hit
     }
@@ -963,5 +1003,80 @@ mod tests {
         assert!(!cc.access(8192), "corrupt shared counter re-fetches");
         assert_eq!(cc.stats().corruptions_detected, 1);
         assert!(cc.access(0), "repaired region hits again");
+    }
+
+    /// Addresses that probe a divisor's edges: zero, the ends of the
+    /// `u64` range, multiples of `d` and their neighbours, and a seeded
+    /// spread over the whole range (splitmix64).
+    fn probe_addrs(d: u64) -> Vec<u64> {
+        let mut out = vec![0, 1, d - 1, d, d.wrapping_add(1)];
+        out.extend([u64::MAX, u64::MAX - 1, u64::MAX - d]);
+        for k in [2u64, 3, 1 << 20, u64::MAX / d] {
+            let m = k.wrapping_mul(d);
+            out.extend([m.wrapping_sub(1), m, m.wrapping_add(1)]);
+        }
+        let mut x = d;
+        for _ in 0..2000 {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            // Every magnitude, not just the top of the range.
+            out.push(z >> (z % 64));
+        }
+        out
+    }
+
+    #[test]
+    fn divisor_is_exact_over_the_whole_u64_range() {
+        let mut divisors: Vec<u64> = (1..=300).collect();
+        divisors.extend((0..64).map(|s| 1u64 << s));
+        divisors.extend((1..64).map(|s| (1u64 << s) - 1));
+        divisors.extend([9536, 48, 4096 * 48, u64::MAX, u64::MAX - 1, (1 << 63) + 1]);
+        for d in divisors {
+            let div = Divisor::new(d);
+            for n in probe_addrs(d) {
+                assert_eq!(div.div(n), n / d, "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn locate_matches_division_reference() {
+        let geometries = [
+            // The gpusim per-controller slice: power-of-two sets and coverage.
+            CounterCacheConfig {
+                capacity_bytes: 96 * 1024 / 6,
+                ..CounterCacheConfig::with_kilobytes(96)
+            },
+            // Non-power-of-two coverage (149 × 64 = 9536 B per line).
+            CounterCacheConfig::split_kilobytes(96, 3),
+            CounterCacheConfig::split_kilobytes(24, 3),
+            // Non-power-of-two set count: 24 KiB / (8 × 64 B) = 48 sets.
+            CounterCacheConfig::with_kilobytes(24),
+            // One set, and one-byte coverage.
+            CounterCacheConfig {
+                capacity_bytes: 512,
+                ..CounterCacheConfig::with_kilobytes(1)
+            },
+            CounterCacheConfig {
+                coverage_bytes: 1,
+                ..CounterCacheConfig::with_kilobytes(24)
+            },
+        ];
+        for cfg in geometries {
+            let cc = CounterCache::new(cfg).unwrap();
+            let sets = cfg.sets() as u64;
+            let cov = cfg.coverage_bytes as u64;
+            for addr in probe_addrs(cov).into_iter().chain(probe_addrs(cov * sets)) {
+                let line_id = addr / cov;
+                assert_eq!(
+                    cc.locate(addr),
+                    ((line_id % sets) as usize, line_id / sets),
+                    "addr {addr:#x} coverage {cov} sets {sets}"
+                );
+            }
+        }
     }
 }

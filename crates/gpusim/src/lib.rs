@@ -21,6 +21,10 @@
 //!   paper's `Counter` scheme is no faster than `Direct` on GPUs;
 //! * IPC / latency / utilisation reporting per run.
 //!
+//! Requests come from a lazy [`RequestStream`] with one cursor per region,
+//! so a run's memory does not grow with its trace length.
+//! [`Workload::trace`] materialises the same requests as the reference.
+//!
 //! What it does **not** model (and the paper's conclusions do not need):
 //! SASS pipelines, warp scheduling, L1/L2 coherence. Compute is an
 //! issue-rate ceiling; caches appear as the traffic model baked into each
@@ -60,4 +64,6 @@ pub use error::SimError;
 pub use mc::MemoryController;
 pub use report::{McReport, SimReport};
 pub use sim::Simulator;
-pub use workload::{AccessPattern, MemoryRequest, Region, Workload, WorkloadBuilder};
+pub use workload::{
+    AccessPattern, MemoryRequest, Region, RequestStream, Workload, WorkloadBuilder,
+};

@@ -297,6 +297,10 @@ impl Workload {
     /// holding `k` of the total `n` requests appears every `n/k` slots), so
     /// concurrent weight/ifmap/ofmap streams hit the controllers the way a
     /// real kernel's loads interleave.
+    ///
+    /// This materialised form is the reference implementation;
+    /// [`request_stream`](Self::request_stream) yields the same requests
+    /// in the same order without storing them.
     pub fn trace(&self, line: u64) -> Vec<MemoryRequest> {
         let line = line.max(1);
         let mut streams: Vec<Vec<MemoryRequest>> = Vec::with_capacity(self.regions.len());
@@ -307,7 +311,383 @@ impl Workload {
         }
         merge_evenly(streams)
     }
+
+    /// The request trace for `line`-byte accesses as a lazy stream:
+    /// request for request equal to [`trace`](Self::trace), in memory
+    /// bounded by the region count rather than the trace length. Each item
+    /// carries the request's line index (`addr / line`) beside it.
+    pub fn request_stream(&self, line: u64) -> RequestStream {
+        let line = line.max(1);
+        let mut times = Vec::with_capacity(self.regions.len());
+        let mut cursors = Vec::with_capacity(self.regions.len());
+        for r in &self.regions {
+            let (walk, n) = Walk::new(r, line);
+            if n == 0 {
+                continue;
+            }
+            // The same float steps as `merge_evenly`, so pacing ties
+            // resolve identically.
+            times.push((0.5 / n as f64).to_bits());
+            cursors.push(Cursor {
+                step: 1.0 / n as f64,
+                left: n,
+                write: r.write,
+                encrypted: r.encrypted,
+                walk,
+            });
+        }
+        RequestStream {
+            line,
+            times,
+            cursors,
+        }
+    }
 }
+
+/// A byte address split into its line index and the offset inside that
+/// line, so a walk can step by any byte stride without dividing.
+#[derive(Debug, Clone, Copy)]
+struct LinePos {
+    line: u64,
+    off: u64,
+}
+
+impl LinePos {
+    fn new(addr: u64, line: u64) -> Self {
+        LinePos {
+            line: addr / line,
+            off: addr % line,
+        }
+    }
+
+    /// Advances by a byte stride given as `LinePos::new(stride, line)`.
+    fn step(&mut self, by: LinePos, line: u64) {
+        self.line += by.line;
+        self.off += by.off;
+        if self.off >= line {
+            self.off -= line;
+            self.line += 1;
+        }
+    }
+}
+
+/// One region's walk as a cursor over line indices: the state of the
+/// loops in `Region::emit`, advanced one request at a time. The request
+/// count is fixed up front, so a cursor never has to detect its own end.
+#[derive(Debug, Clone)]
+enum Walk {
+    /// Blocks of lines, each cycled for a fixed request count before the
+    /// walk moves on: `TiledReuse`, and `Stream` as one block.
+    Blocks(BlockWalk),
+    /// A tile-blocked matrix walk.
+    Tiled(TiledWalk),
+}
+
+#[derive(Debug, Clone)]
+struct TiledWalk {
+    base: LinePos,
+    /// Strides of one matrix row, one column slice and one band of
+    /// `tile_rows` rows.
+    row: LinePos,
+    slice: LinePos,
+    band: LinePos,
+    rows: u64,
+    tile_rows: u64,
+    full_passes: u64,
+    /// Rows of the truncated final pass.
+    frac_rows: u64,
+    slices: u64,
+    full_lines: u64,
+    last_lines: u64,
+    // Position: pass, band `[r0, r1)` of the pass's `limit` rows, slice
+    // `j` of `lines` lines, row `r`, line `k` of the slice.
+    pass: u64,
+    limit: u64,
+    r0: u64,
+    r1: u64,
+    r: u64,
+    j: u64,
+    lines: u64,
+    k: u64,
+    band_at: LinePos,
+    slice_at: LinePos,
+    row_at: LinePos,
+}
+
+#[derive(Debug, Clone)]
+struct BlockWalk {
+    stride: LinePos,
+    full_blocks: u64,
+    /// (lines, requests) of a full block and of the partial last one.
+    full: (u64, u64),
+    partial: (u64, u64),
+    // Position: block `block` at `at` with `lines` lines and `requests`
+    // requests, `done` of them made, line `k`.
+    block: u64,
+    at: LinePos,
+    lines: u64,
+    requests: u64,
+    done: u64,
+    k: u64,
+}
+
+impl BlockWalk {
+    /// `full_blocks` blocks of `full` (lines, requests), then one of
+    /// `partial`, `stride` bytes apart from `base`.
+    fn new(
+        base: u64,
+        line: u64,
+        stride: u64,
+        full_blocks: u64,
+        full: (u64, u64),
+        partial: (u64, u64),
+    ) -> Self {
+        let (lines, requests) = if full_blocks > 0 { full } else { partial };
+        BlockWalk {
+            stride: LinePos::new(stride, line),
+            full_blocks,
+            full,
+            partial,
+            block: 0,
+            at: LinePos::new(base, line),
+            lines,
+            requests,
+            done: 0,
+            k: 0,
+        }
+    }
+
+    fn advance(&mut self, line: u64) {
+        self.done += 1;
+        if self.done < self.requests {
+            self.k += 1;
+            if self.k == self.lines {
+                self.k = 0;
+            }
+            return;
+        }
+        self.block += 1;
+        self.at.step(self.stride, line);
+        (self.lines, self.requests) = if self.block < self.full_blocks {
+            self.full
+        } else {
+            self.partial
+        };
+        self.done = 0;
+        self.k = 0;
+    }
+}
+
+impl Walk {
+    /// The cursor at a region's first request, and its request count.
+    fn new(r: &Region, line: u64) -> (Walk, u64) {
+        match r.pattern {
+            AccessPattern::Stream { passes } => {
+                let total = ((r.bytes as f64 * passes) / line as f64).ceil() as u64;
+                let lines = r.bytes.div_ceil(line).max(1);
+                let walk = BlockWalk::new(r.base, line, 0, 1, (lines, total), (0, 0));
+                (Walk::Blocks(walk), total)
+            }
+            AccessPattern::Tiled {
+                rows,
+                row_bytes,
+                tile_rows,
+                tile_cols,
+                passes,
+            } => {
+                let tile_rows = tile_rows.max(1);
+                let tile_cols = tile_cols.max(line);
+                let full_passes = passes.floor() as u64;
+                let frac = passes - passes.floor();
+                let frac_rows = if frac > 1e-9 {
+                    ((rows as f64) * frac).round() as u64
+                } else {
+                    0
+                };
+                let slices = row_bytes.div_ceil(tile_cols);
+                let full_lines = tile_cols.div_ceil(line);
+                let last_lines = (row_bytes - slices.saturating_sub(1) * tile_cols).div_ceil(line);
+                let row_lines = slices.saturating_sub(1) * full_lines + last_lines;
+                let total = (full_passes * rows + frac_rows) * row_lines;
+                let base = LinePos::new(r.base, line);
+                let limit = if full_passes > 0 { rows } else { frac_rows };
+                let mut walk = TiledWalk {
+                    base,
+                    row: LinePos::new(row_bytes, line),
+                    slice: LinePos::new(tile_cols, line),
+                    band: LinePos::new(tile_rows.wrapping_mul(row_bytes), line),
+                    rows,
+                    tile_rows,
+                    full_passes,
+                    frac_rows,
+                    slices,
+                    full_lines,
+                    last_lines,
+                    pass: 0,
+                    limit,
+                    r0: 0,
+                    r1: tile_rows.min(limit),
+                    r: 0,
+                    j: 0,
+                    lines: 0,
+                    k: 0,
+                    band_at: base,
+                    slice_at: base,
+                    row_at: base,
+                };
+                walk.lines = walk.slice_lines();
+                (Walk::Tiled(walk), total)
+            }
+            AccessPattern::TiledReuse { tile_bytes, reads } => {
+                let tile = tile_bytes.max(line);
+                let geometry = |bytes: u64| {
+                    let lines = bytes.div_ceil(line);
+                    (lines, (lines as f64 * reads).round() as u64)
+                };
+                let full_tiles = r.bytes / tile;
+                let (full, partial) = (geometry(tile), geometry(r.bytes % tile));
+                let walk = BlockWalk::new(r.base, line, tile, full_tiles, full, partial);
+                (Walk::Blocks(walk), full_tiles * full.1 + partial.1)
+            }
+        }
+    }
+
+    /// Line index of the current request.
+    fn line(&self) -> u64 {
+        match self {
+            Walk::Blocks(b) => b.at.line + b.k,
+            Walk::Tiled(t) => t.row_at.line + t.k,
+        }
+    }
+
+    /// Moves to the next request; only called while requests remain.
+    fn advance(&mut self, line: u64) {
+        match self {
+            Walk::Blocks(b) => b.advance(line),
+            Walk::Tiled(t) => t.advance(line),
+        }
+    }
+}
+
+impl TiledWalk {
+    /// Lines in slice `j` of a row.
+    fn slice_lines(&self) -> u64 {
+        if self.j + 1 == self.slices {
+            self.last_lines
+        } else {
+            self.full_lines
+        }
+    }
+
+    fn advance(&mut self, line: u64) {
+        self.k += 1;
+        if self.k < self.lines {
+            return;
+        }
+        self.k = 0;
+        self.r += 1;
+        if self.r < self.r1 {
+            self.row_at.step(self.row, line);
+            return;
+        }
+        self.r = self.r0;
+        self.j += 1;
+        if self.j < self.slices {
+            self.slice_at.step(self.slice, line);
+            self.row_at = self.slice_at;
+            self.lines = self.slice_lines();
+            return;
+        }
+        self.j = 0;
+        self.lines = self.slice_lines();
+        if self.r1 < self.limit {
+            self.r0 = self.r1;
+            self.band_at.step(self.band, line);
+        } else {
+            self.pass += 1;
+            self.limit = if self.pass < self.full_passes {
+                self.rows
+            } else {
+                self.frac_rows
+            };
+            self.r0 = 0;
+            self.band_at = self.base;
+        }
+        self.r1 = self.r0.saturating_add(self.tile_rows).min(self.limit);
+        self.r = self.r0;
+        self.slice_at = self.band_at;
+        self.row_at = self.band_at;
+    }
+}
+
+/// One region's place in the pacing merge.
+#[derive(Debug, Clone)]
+struct Cursor {
+    step: f64,
+    left: u64,
+    write: bool,
+    encrypted: bool,
+    walk: Walk,
+}
+
+/// Lazy form of [`Workload::trace`], from [`Workload::request_stream`]:
+/// yields `(line index, request)` pairs. It holds one small cursor per
+/// region and merges them by the same pacing rule as the materialised
+/// trace — the earliest next time wins, a tie goes to the lower region.
+#[derive(Debug, Clone)]
+pub struct RequestStream {
+    line: u64,
+    /// Next pacing time per live cursor as `f64` bits, kept apart so the
+    /// scan for the earliest touches one small array. Pacing times are
+    /// positive and finite, where the bit patterns order as the values do
+    /// and an integer compare is a shorter dependency chain than a float
+    /// one.
+    times: Vec<u64>,
+    /// Live cursors in region order.
+    cursors: Vec<Cursor>,
+}
+
+impl Iterator for RequestStream {
+    type Item = (u64, MemoryRequest);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (first, rest) = self.times.split_first()?;
+        let mut best = 0;
+        let mut t = *first;
+        // Select rather than branch: which region wins is what the pacing
+        // interleaves, so a branch here would mispredict. A strict `<`
+        // keeps the lower region on a tie, as `Pace::cmp` does.
+        for (i, &ti) in rest.iter().enumerate() {
+            let earlier = ti < t;
+            t = if earlier { ti } else { t };
+            best = if earlier { i + 1 } else { best };
+        }
+        let c = &mut self.cursors[best];
+        let line = c.walk.line();
+        let req = MemoryRequest {
+            addr: line * self.line,
+            write: c.write,
+            encrypted: c.encrypted,
+        };
+        c.left -= 1;
+        if c.left == 0 {
+            self.cursors.remove(best);
+            self.times.remove(best);
+        } else {
+            self.times[best] = (f64::from_bits(t) + c.step).to_bits();
+            c.walk.advance(self.line);
+        }
+        Some((line, req))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left: u64 = self.cursors.iter().map(|c| c.left).sum();
+        let left = usize::try_from(left).unwrap_or(usize::MAX);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for RequestStream {}
 
 /// Min-heap entry for the pacing merge.
 #[derive(Debug, PartialEq)]
